@@ -156,9 +156,6 @@ class TensorField:
         return TensorField(self.grid, self.rank, values)
 
 
-MetricField = TensorField  # rank-2, symmetric, positive definite per node
-
-
 def make_chart(dim, resolution, extent, topology, origin=None) -> ChartGrid:
     """Build a validated grid; spacing follows from extent and topology."""
     resolution = _as_tuple(resolution, dim, int)

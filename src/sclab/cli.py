@@ -21,7 +21,7 @@ from .curvature import f_functional
 from .expressions import ExpressionError, parse_expression
 from .flow import (FlowTrajectory, adjoint_supersolution_residual,
                    cfl_bound, evolution_identity_residual, make_flow_state,
-                   monotonicity_report, profile_state, ricci_hessian_gap,
+                   profile_state, ricci_hessian_gap,
                    round_profile, run_flow, run_profile_flow,
                    write_trajectory_series)
 from .hypersurface import embed_graph
@@ -299,7 +299,8 @@ def _run_curvature(config) -> int:
         rows.append({"resolution": res,
                      "inf_S": float(state.stabilized.values.min()),
                      "sup_S": float(state.stabilized.values.max()),
-                     "F": f_functional(metric, phi, bundle=state.bundle),
+                     "F": f_functional(metric, phi,
+                                       stabilized=state.stabilized),
                      "max_ricci_hessian_gap": gap})
     path = _resolve_output(config.output_path)
     emit_series(rows, path, ["resolution", "inf_S", "sup_S", "F",
@@ -325,8 +326,7 @@ def _run_flow(config) -> int:
         traj = run_flow(state, config.dt, config.steps,
                         snapshot_every=config.options["snapshot_every"],
                         snapshot_dir=os.path.dirname(path) or ".")
-    write_trajectory_series(traj, path)
-    report = monotonicity_report(traj)
+    report = write_trajectory_series(traj, path)
     verdict = "pass" if report.monotone else "fail"
     print(f"flow: {len(traj.states)} states, inf_S "
           f"{report.inf_s[0]:.6g} -> {report.inf_s[-1]:.6g}, "

@@ -185,10 +185,15 @@ def stabilized_scalar(metric: TensorField, phi: ScalarField,
 
 
 def f_functional(metric: TensorField, phi: ScalarField,
-                 bundle: CurvatureBundle | None = None) -> float:
-    """Weighted total stabilized curvature: integral of S e^phi dvol."""
-    s = stabilized_scalar(metric, phi, bundle=bundle)
-    weighted = ScalarField(metric.grid, s.values * np.exp(phi.values))
+                 stabilized: ScalarField | None = None) -> float:
+    """Weighted total stabilized curvature: integral of S e^phi dvol.
+
+    stabilized is S of (metric, phi) when the caller already holds it.
+    """
+    if stabilized is None:
+        stabilized = stabilized_scalar(metric, phi)
+    weighted = ScalarField(metric.grid,
+                           stabilized.values * np.exp(phi.values))
     return integrate(weighted, metric)
 
 

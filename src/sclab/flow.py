@@ -185,7 +185,7 @@ def monotonicity_report(traj: FlowTrajectory,
         raise ValueError("need at least two states")
     times = np.array([s.t for s in traj.states])
     inf_s = np.array([s.stabilized.values.min() for s in traj.states])
-    f_vals = np.array([f_functional(s.metric, s.phi, bundle=s.bundle)
+    f_vals = np.array([f_functional(s.metric, s.phi, stabilized=s.stabilized)
                        for s in traj.states])
     gaps = np.array([np.abs(ricci_hessian_gap(s)).max()
                      for s in traj.states])
@@ -374,8 +374,12 @@ def profile_state(p: SphereProfile, lon_res: int = 8) -> FlowState:
     return make_flow_state(p.t, metric, phi)
 
 
-def write_trajectory_series(traj: FlowTrajectory, path) -> None:
-    """Per-state series; identity residual is blank at the endpoints."""
+def write_trajectory_series(traj: FlowTrajectory,
+                            path) -> MonotonicityReport:
+    """Per-state series; identity residual is blank at the endpoints.
+
+    Returns the monotonicity report the series was written from.
+    """
     report = monotonicity_report(traj)
     rows = ["t,inf_S,F,max_ricci_hessian_gap,identity_residual_maxnorm"]
     for k in range(len(traj.states)):
@@ -390,3 +394,4 @@ def write_trajectory_series(traj: FlowTrajectory, path) -> None:
                               f"{report.gap_norms[k]:.17g}", tail]))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(rows) + "\n")
+    return report

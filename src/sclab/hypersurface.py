@@ -120,6 +120,11 @@ class HypersurfaceEmbedding:
             values = values.values
         return self.sampler.take(values)
 
+    def sample_nn(self, tensor) -> np.ndarray:
+        """Ambient 2-tensor sampled at the graph points, on (nu, nu)."""
+        return np.einsum("...ij,...i,...j->...", self.sample(tensor),
+                         self.normal, self.normal, optimize=False)
+
 
 def embed_graph(metric: TensorField, height, graph_axis: int | None = None,
                 orientation: int = 1,
@@ -299,10 +304,8 @@ def gauss_identity_sides(emb: HypersurfaceEmbedding, rho: ScalarField,
            - p_logu.gradient_sq.values
            - h_sq)
 
-    ric_nn = np.einsum("...ij,...i,...j->...", emb.sample(amb.ricci),
-                       emb.normal, emb.normal, optimize=False)
-    hess_nn = np.einsum("...ij,...i,...j->...", emb.sample(amb_pot.hessian),
-                        emb.normal, emb.normal, optimize=False)
+    ric_nn = emb.sample_nn(amb.ricci)
+    hess_nn = emb.sample_nn(amb_pot.hessian)
     cross = np.einsum("...ab,...a,...b->...", sb.inverse,
                       p_logrho.gradient, p_logu.gradient, optimize=False)
 
@@ -397,21 +400,13 @@ class AreaVariation:
     gap: np.ndarray             # area_rate - variation
 
 
-def weighted_area_variation(fol: GraphFoliation,
-                            phi: ScalarField | None = None) -> AreaVariation:
+def weighted_area_variation(fol: GraphFoliation) -> AreaVariation:
     """Compare the finite-difference area rate with the variation integral.
 
-    phi defaults to the foliation's own log-density; passing a different
-    one recomputes the weighted mean curvature instead of reusing the
-    stored fields, so both sides always refer to the same weight.
+    Both sides use the foliation's own log-density and its stored
+    weighted mean curvature.
     """
-    if phi is None:
-        phi = fol.log_density
-        weighted_h = [f.values for f in fol.weighted_H]
-    else:
-        weighted_h = [weighted_mean_curvature(emb, phi).values
-                      for emb in fol.slices]
-
+    phi = fol.log_density
     areas = np.array([weighted_area(s, phi) for s in fol.slices])
     rate = np.gradient(areas, np.asarray(fol.times), edge_order=2)
 
@@ -419,22 +414,33 @@ def weighted_area_variation(fol: GraphFoliation,
     for k, emb in enumerate(fol.slices):
         density = (np.ones(emb.slice_grid.shape) if phi is None
                    else np.exp(emb.sample(phi)))
-        values = weighted_h[k] * density * fol.lapse[k].values
+        values = fol.weighted_H[k].values * density * fol.lapse[k].values
         variation[k] = integrate(ScalarField(emb.slice_grid, values),
                                  emb.induced_metric)
     return AreaVariation(np.asarray(fol.times), areas, rate, variation,
                          rate - variation)
 
 
-def write_variation_table(var: AreaVariation, path) -> None:
-    rows = ["t,weighted_area,dA_dt_centered,first_variation_integral,difference"]
-    for k in range(len(var.times)):
-        rows.append(",".join(
-            f"{x:.17g}" for x in (var.times[k], var.area[k],
-                                  var.area_rate[k], var.variation[k],
-                                  var.gap[k])))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+def chart_wall(emb: HypersurfaceEmbedding, axis: int,
+               side: int) -> tuple[HypersurfaceEmbedding, GraphSampler]:
+    """The chart wall through one boundary face of the slice grid.
+
+    The wall is the constant graph on the matching ambient axis, built
+    on the hypersurface's own ambient bundle with its normal pointing
+    out of the chart; the sampler carries wall nodal data to the points
+    where the hypersurface meets the wall.
+    """
+    kept = [a for a in range(emb.ambient_grid.dim) if a != emb.graph_axis]
+    amb_axis = kept[axis]
+    row = -1 if side else 0
+    wall_coord = emb.ambient_grid.axis_coords(amb_axis)[row]
+    wall = embed_graph(emb.ambient_metric,
+                       lambda *ys: np.full(ys[0].shape, wall_coord),
+                       graph_axis=amb_axis, orientation=1 if side else -1,
+                       bundle=emb.ambient_bundle)
+    axis_in_wall = emb.graph_axis - (1 if amb_axis < emb.graph_axis else 0)
+    heights = np.take(emb.graph_height.values, row, axis=axis)
+    return wall, _make_sampler(wall.slice_grid, axis_in_wall, heights)
 
 
 @dataclass(frozen=True)
@@ -468,13 +474,13 @@ def boundary_trace_identity(emb: HypersurfaceEmbedding, rho: ScalarField,
         raise ValueError("density must be positive")
 
     ds = emb.slice_grid.dim
-    kept = [a for a in range(emb.ambient_grid.dim) if a != emb.graph_axis]
     rho_s = np.log(emb.sample(rho))
     grad_rho_s = np.stack([diff_array(rho_s, emb.slice_grid, b, 1)
                            for b in range(ds)], axis=-1)
     dphi = np.stack([diff_array(phi.values, emb.ambient_grid, i, 1)
                      for i in range(emb.ambient_grid.dim)], axis=-1)
     dphi_s = emb.sample(dphi)
+    slice_bundle = curvature_bundle(emb.induced_metric)
 
     out = {}
     for (a, side), eta in emb.boundary_normal.items():
@@ -483,22 +489,14 @@ def boundary_trace_identity(emb: HypersurfaceEmbedding, rho: ScalarField,
         face[a] = row
         face = tuple(face)
         coord = emb.slice_grid.axis_coords(a)[row]
-        sign = 1 if side else -1
 
         sub = embed_graph(emb.induced_metric,
                           lambda *ys: np.full(ys[0].shape, coord),
-                          graph_axis=a, orientation=sign)
+                          graph_axis=a, orientation=1 if side else -1,
+                          bundle=slice_bundle)
         h_face = sub.mean_curvature.values
 
-        amb_axis = kept[a]
-        wall_grid = emb.ambient_grid.drop_axis(amb_axis)
-        wall_coord = emb.ambient_grid.axis_coords(amb_axis)[row]
-        wall = embed_graph(emb.ambient_metric,
-                           lambda *ys: np.full(ys[0].shape, wall_coord),
-                           graph_axis=amb_axis, orientation=sign)
-        axis_in_wall = emb.graph_axis - (1 if amb_axis < emb.graph_axis else 0)
-        w_face = emb.graph_height.values[face]
-        wall_sampler = _make_sampler(wall_grid, axis_in_wall, w_face)
+        wall, wall_sampler = chart_wall(emb, a, side)
         h_wall = wall_sampler.take(wall.mean_curvature.values)
 
         lhs = np.einsum("...b,...b->...", grad_rho_s[face], eta,

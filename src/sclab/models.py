@@ -139,13 +139,6 @@ def solid_cylinder_band(rad_res, ang_res, fib_res, radius=1.0,
     return grid, metric
 
 
-def half_strip(width_res, ang_res, width=1.0, circum=TWO_PI):
-    """Flat strip [0, width] x circle; boundary walls are geodesic."""
-    grid = make_chart(2, (width_res, ang_res), (width, circum),
-                      (BOUNDARY, PERIODIC))
-    return grid, _diag_metric(grid, [1.0, 1.0])
-
-
 def flat_box3(resolution, lengths=(TWO_PI, TWO_PI, TWO_PI)):
     """Flat 3-torus; ambient space for generic graph hypersurfaces."""
     grid = make_chart(3, resolution, lengths, PERIODIC)

@@ -34,8 +34,7 @@ from .curvature import curvature_bundle, potential_derivatives
 from .hypersurface import (
     GraphFoliation,
     HypersurfaceEmbedding,
-    _make_sampler,
-    embed_graph,
+    chart_wall,
     second_fundamental_norm_sq,
 )
 
@@ -222,36 +221,21 @@ def _wall_robin_data(emb: HypersurfaceEmbedding, axis: int,
                      side: int) -> np.ndarray:
     """h_wall(nu, nu) on one boundary face of the slice grid.
 
-    The chart wall is embedded as a constant graph in the ambient
-    manifold; the hypersurface normal is carried into wall coordinates
-    by dropping its (assumed negligible) wall-normal component, which is
-    exact when the hypersurface meets the wall orthogonally.
+    The hypersurface normal is carried into wall coordinates by dropping
+    its (assumed negligible) wall-normal component, which is exact when
+    the hypersurface meets the wall orthogonally.
     """
-    kept = [a for a in range(emb.ambient_grid.dim) if a != emb.graph_axis]
-    amb_axis = kept[axis]
-    row = -1 if side else 0
-    sign = 1 if side else -1
-    wall_coord = emb.ambient_grid.axis_coords(amb_axis)[row]
-    wall = embed_graph(emb.ambient_metric,
-                       lambda *ys: np.full(ys[0].shape, wall_coord),
-                       graph_axis=amb_axis, orientation=sign)
-
-    face = [slice(None)] * emb.slice_grid.dim
-    face[axis] = row
-    face = tuple(face)
-    axis_in_wall = emb.graph_axis - (1 if amb_axis < emb.graph_axis else 0)
-    sampler = _make_sampler(wall.slice_grid, axis_in_wall,
-                            emb.graph_height.values[face])
+    wall, sampler = chart_wall(emb, axis, side)
     h_wall = sampler.take(wall.second_fundamental.values)
-
-    wall_axes = [i for i in range(emb.ambient_grid.dim) if i != amb_axis]
-    nu_wall = emb.normal[face][..., wall_axes]
+    wall_axes = [i for i in range(emb.ambient_grid.dim)
+                 if i != wall.graph_axis]
+    nu_wall = np.take(emb.normal, -1 if side else 0, axis=axis)[..., wall_axes]
     return np.einsum("...cd,...c,...d->...", h_wall, nu_wall, nu_wall,
                      optimize=False)
 
 
-def assemble_jacobi(emb: HypersurfaceEmbedding, rho: ScalarField,
-                    bundle=None) -> SpectralProblem:
+def assemble_jacobi(emb: HypersurfaceEmbedding,
+                    rho: ScalarField) -> SpectralProblem:
     """Stability operator of a hypersurface for the ambient density rho.
 
     Zeroth order: -ric(nu,nu) - |h|^2 + (D^2 log rho)(nu,nu); first
@@ -259,20 +243,16 @@ def assemble_jacobi(emb: HypersurfaceEmbedding, rho: ScalarField,
     Robin datum on each chart wall is the wall's second fundamental
     form on (nu, nu).
     """
-    if bundle is None:
-        bundle = emb.ambient_bundle
     if rho.grid != emb.ambient_grid:
         raise ValueError("density lives on a different ambient grid")
     if np.any(rho.values <= 0.0):
         raise ValueError("density must be positive")
 
     log_rho = ScalarField(emb.ambient_grid, np.log(rho.values))
-    amb_pot = potential_derivatives(bundle, log_rho)
-    ric_nn = np.einsum("...ij,...i,...j->...", emb.sample(bundle.ricci),
-                       emb.normal, emb.normal, optimize=False)
-    hess_nn = np.einsum("...ij,...i,...j->...", emb.sample(amb_pot.hessian),
-                        emb.normal, emb.normal, optimize=False)
-    potential = -ric_nn - second_fundamental_norm_sq(emb) + hess_nn
+    amb_pot = potential_derivatives(emb.ambient_bundle, log_rho)
+    potential = (-emb.sample_nn(emb.ambient_bundle.ricci)
+                 - second_fundamental_norm_sq(emb)
+                 + emb.sample_nn(amb_pot.hessian))
 
     robin = {}
     for a in range(emb.slice_grid.dim):
@@ -393,16 +373,16 @@ class LapseCheck:
     mu_spread: np.ndarray   # max - min of mu per slice
 
 
-def lapse_residual(fol: GraphFoliation,
-                   phi: ScalarField | None = None) -> LapseCheck:
+def lapse_residual(fol: GraphFoliation) -> LapseCheck:
     """Residual of the Jacobi equation satisfied by the lapse.
 
-    Foliations whose weighted mean curvature is not constant on each
-    slice (beyond stencil error) are rejected: the mu'(t) coupling is
-    only meaningful in the constant case.
+    The drift and Hessian terms use the log-density the foliation was
+    built with, the same weight its stored mu comes from.  Foliations
+    whose weighted mean curvature is not constant on each slice (beyond
+    stencil error) are rejected: the mu'(t) coupling is only meaningful
+    in the constant case.
     """
-    if phi is None and fol.log_density is not None:
-        phi = fol.log_density
+    phi = fol.log_density
     times = np.asarray(fol.times)
     mu = np.array([float(np.mean(w.values)) for w in fol.weighted_H])
     spread = np.array([float(np.ptp(w.values)) for w in fol.weighted_H])
@@ -416,29 +396,25 @@ def lapse_residual(fol: GraphFoliation,
             f"{k} (t = {times[k]:.6g}), beyond stencil error "
             f"{expected[k]:.3e}: not a constant-mu foliation")
     mu_rate = np.gradient(mu, times, edge_order=2)
+    if phi is not None:
+        # every slice of a foliation shares one ambient bundle
+        amb_pot = potential_derivatives(fol.slices[0].ambient_bundle, phi)
 
     residuals = []
     for k, emb in enumerate(fol.slices):
         f = fol.lapse[k]
         sb = curvature_bundle(emb.induced_metric)
         pot_f = potential_derivatives(sb, f)
-        ric_nn = np.einsum("...ij,...i,...j->...",
-                           emb.sample(emb.ambient_bundle.ricci),
-                           emb.normal, emb.normal, optimize=False)
         value = (-pot_f.laplacian.values
-                 - ric_nn * f.values
+                 - emb.sample_nn(emb.ambient_bundle.ricci) * f.values
                  - second_fundamental_norm_sq(emb) * f.values)
         if phi is not None:
-            amb_pot = potential_derivatives(emb.ambient_bundle, phi)
-            hess_nn = np.einsum("...ij,...i,...j->...",
-                                emb.sample(amb_pot.hessian),
-                                emb.normal, emb.normal, optimize=False)
             phi_s = emb.sample(phi)
             pot_phi = potential_derivatives(
                 sb, ScalarField(emb.slice_grid, phi_s))
             drift = np.einsum("...ab,...a,...b->...", sb.inverse,
                               pot_phi.gradient, pot_f.gradient,
                               optimize=False)
-            value = value + hess_nn * f.values - drift
+            value = value + emb.sample_nn(amb_pot.hessian) * f.values - drift
         residuals.append(ScalarField(emb.slice_grid, value - mu_rate[k]))
     return LapseCheck(times, tuple(residuals), mu, mu_rate, spread)

@@ -254,6 +254,24 @@ class TestFlowCommand:
         assert len(t) == 21
         assert t[-1] == pytest.approx(0.02, rel=1e-12)
 
+    def test_torus_run_builds_one_report(self, out_dir, monkeypatch):
+        # the series writer's report is the one the verdict reads
+        from sclab import flow
+        real = flow.monotonicity_report
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("sclab.")
+                    and getattr(module, "monotonicity_report", None) is real):
+                monkeypatch.setattr(module, "monotonicity_report", counting)
+        assert main(["flow", "torus", "res=16", "amplitude=0.1", "dt=1e-3",
+                     "steps=5"]) == 0
+        assert len(calls) == 1
+
     def test_cfl_violation_is_operational_error(self, out_dir, capsys):
         assert main(["flow", "torus", "res=16", "dt=1.0", "steps=2"]) == 1
         assert "violates" in capsys.readouterr().err

@@ -209,6 +209,13 @@ class TestFFunctional:
         phi = sample_field(grid, lambda x1, x2: np.zeros_like(x1))
         assert f_functional(metric, phi) == 0.0
 
+    def test_given_stabilized_scalar_is_bit_identical(self):
+        grid, metric, _ = conformal_torus(32, 0.2)
+        phi = sample_field(grid, lambda x1, x2: 0.3 * np.sin(x1) * np.cos(x2))
+        given_s = f_functional(metric, phi,
+                               stabilized=stabilized_scalar(metric, phi))
+        assert given_s == f_functional(metric, phi)
+
     def test_sphere_matches_total_curvature(self):
         # F(g, 0) = int R dA = 8 pi on the unit sphere
         grid, metric = sphere_full(65, 128)

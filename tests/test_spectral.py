@@ -135,6 +135,18 @@ class TestAssembly:
         assert np.abs(prob.robin[(0, 1)] - 1.0).max() <= 1e-10
         assert np.abs(prob.robin[(0, 0)] + 2.0).max() <= 1e-10
 
+    def test_walls_reuse_the_ambient_bundle(self, bundle_grids):
+        # a leaf with two chart walls: assembly builds no curvature
+        # bundle of its own, not even for the wall embeddings
+        grid, metric = solid_cylinder_band(17, 16, 8)
+        ang = grid.axis_coords(1)[4]
+        emb = embed_graph(metric, lambda s, z: np.full(s.shape, ang),
+                          graph_axis=1)
+        bundle_grids.clear()
+        prob = assemble_jacobi(emb, ScalarField(grid, np.ones(grid.shape)))
+        assert sorted(prob.robin.keys()) == [(0, 0), (0, 1)]
+        assert bundle_grids == []
+
     def test_rejects_nonpositive_density(self):
         grid, metric = flat_box3((8, 8, 8))
         emb = embed_graph(metric, lambda x, y: np.full(x.shape, np.pi),
