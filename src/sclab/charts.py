@@ -197,15 +197,6 @@ def sample_field(grid: ChartGrid, fn, rank: int = 0):
     return TensorField(grid, rank, out)
 
 
-def constant_metric(grid: ChartGrid, matrix) -> TensorField:
-    """Metric with the same coefficient matrix at every node."""
-    m = np.asarray(matrix, dtype=float)
-    if m.shape != (grid.dim, grid.dim):
-        raise ValueError(f"expected a {grid.dim}x{grid.dim} matrix")
-    vals = np.broadcast_to(m, grid.shape + m.shape).copy()
-    return TensorField(grid, 2, vals)
-
-
 def diff_array(values: np.ndarray, grid: ChartGrid, axis: int,
                order: int) -> np.ndarray:
     """Second-order stencil derivative along one grid axis.
@@ -255,14 +246,6 @@ def diff_array(values: np.ndarray, grid: ChartGrid, axis: int,
     return out
 
 
-def differentiate(field, axis: int, order: int):
-    """Field-level wrapper around diff_array preserving the field type."""
-    out = diff_array(field.values, field.grid, axis, order)
-    if isinstance(field, ScalarField):
-        return ScalarField(field.grid, out)
-    return TensorField(field.grid, field.rank, out)
-
-
 def tree_sum(values: np.ndarray) -> float:
     """Pairwise reduction in fixed node order; bit-reproducible."""
     flat = np.ascontiguousarray(values, dtype=float).reshape(-1)
@@ -295,13 +278,6 @@ def integrate(field: ScalarField, metric: TensorField) -> float:
         node = node_tuple(np.argmax(det <= 0.0), grid.shape)
         raise ValueError(f"non-positive metric determinant at node {node}")
     return tree_sum(field.values * np.sqrt(det) * grid.cell_weights())
-
-
-def reduce_min(field: ScalarField) -> tuple[float, tuple[int, ...]]:
-    """Minimum value and the first attaining node in row-major order."""
-    flat = field.values.reshape(-1)
-    idx = int(np.argmin(flat))
-    return float(flat[idx]), node_tuple(idx, field.grid.shape)
 
 
 _SNAP_MAGIC = "chartsnap 1"

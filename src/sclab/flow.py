@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import ScalarField, TensorField, diff_array, write_snapshot
+from .charts import (ScalarField, TensorField, diff_array, make_chart,
+                     write_snapshot)
 from .curvature import (
     CurvatureBundle,
-    check_positive_definite,
+    PotentialDerivatives,
     curvature_bundle,
     f_functional,
     potential_derivatives,
@@ -34,14 +35,15 @@ CFL_FACTOR = 0.2
 class FlowState:
     """One instant of the coupled flow with its derived quantities.
 
-    The bundle and stabilized scalar are recomputed from (metric, phi)
-    whenever a state is built; nothing is ever patched in place.
+    The bundle, phi's derivatives and S are computed once from (metric,
+    phi) when a state is built; nothing is ever patched in place.
     """
 
     t: float
     metric: TensorField
     phi: ScalarField
     bundle: CurvatureBundle
+    potential: PotentialDerivatives
     stabilized: ScalarField
 
 
@@ -50,13 +52,13 @@ def make_flow_state(t: float, metric: TensorField,
     if phi.grid != metric.grid:
         raise ValueError("potential and metric live on different grids")
     try:
-        check_positive_definite(metric)
+        bundle = curvature_bundle(metric)
     except ValueError as exc:
         raise RuntimeError(
             f"flow state at t = {t:.6g} is not a metric: {exc}") from exc
-    bundle = curvature_bundle(metric)
-    s = stabilized_scalar(metric, phi, bundle=bundle)
-    return FlowState(float(t), metric, phi, bundle, s)
+    pot = potential_derivatives(bundle, phi)
+    s = stabilized_scalar(metric, phi, bundle=bundle, potential=pot)
+    return FlowState(float(t), metric, phi, bundle, pot, s)
 
 
 def cfl_bound(state: FlowState) -> float:
@@ -66,9 +68,7 @@ def cfl_bound(state: FlowState) -> float:
 
 
 def _slopes(state: FlowState):
-    ric_rate = -2.0 * state.bundle.ricci.values
-    pot = potential_derivatives(state.bundle, state.phi)
-    return ric_rate, pot.laplacian.values
+    return -2.0 * state.bundle.ricci.values, state.potential.laplacian.values
 
 
 def step_coupled_flow(state: FlowState, dt: float,
@@ -104,23 +104,31 @@ class FlowTrajectory:
     scheme_order: int
 
 
-def run_flow(initial: FlowState, dt: float, steps: int,
-             scheme: str = "euler", snapshot_every: int = 0,
-             snapshot_dir=None) -> FlowTrajectory:
-    """Advance the coupled system, optionally checkpointing states."""
+def flow_states(state: FlowState, dt: float, steps: int,
+                scheme: str = "euler", snapshot_every: int = 0,
+                snapshot_dir=None):
+    """Yield the given state, then each stepped state, checkpointing
+    every snapshot_every-th one; only the latest state is held here."""
     if steps < 1:
         raise ValueError("need at least one step")
-    states = [initial]
+    yield state
     for k in range(steps):
-        states.append(step_coupled_flow(states[-1], dt, scheme))
+        state = step_coupled_flow(state, dt, scheme)
         if snapshot_every and (k + 1) % snapshot_every == 0:
-            state = states[-1]
             write_snapshot(
                 os.path.join(snapshot_dir, f"state_{k + 1:06d}.snap"),
                 state.metric.grid,
                 {"metric": state.metric, "phi": state.phi})
-    order = 1 if scheme == "euler" else 2
-    return FlowTrajectory(tuple(states), float(dt), order)
+        yield state
+
+
+def run_flow(initial: FlowState, dt: float, steps: int,
+             scheme: str = "euler", snapshot_every: int = 0,
+             snapshot_dir=None) -> FlowTrajectory:
+    """Advance the coupled system and keep every state."""
+    states = tuple(flow_states(initial, dt, steps, scheme, snapshot_every,
+                               snapshot_dir))
+    return FlowTrajectory(states, float(dt), 1 if scheme == "euler" else 2)
 
 
 def _tensor_norm_sq(inverse: np.ndarray, tensor: np.ndarray) -> np.ndarray:
@@ -131,31 +139,31 @@ def _tensor_norm_sq(inverse: np.ndarray, tensor: np.ndarray) -> np.ndarray:
 
 def ricci_hessian_gap(state: FlowState) -> np.ndarray:
     """Pointwise components of Ric - D^2 phi, the rigidity defect."""
-    pot = potential_derivatives(state.bundle, state.phi)
-    return state.bundle.ricci.values - pot.hessian.values
+    return state.bundle.ricci.values - state.potential.hessian.values
+
+
+def _identity_residual(prev: FlowState, state: FlowState, nxt: FlowState,
+                       dt: float) -> np.ndarray:
+    """dS/dt - Lap S - 2|Ric - D^2 phi|^2 at the middle of three states:
+    a centered time slope of the neighbors' cached stabilized scalars,
+    all spatial terms from the middle state alone."""
+    rate = (nxt.stabilized.values - prev.stabilized.values) / (2.0 * dt)
+    lap_s = potential_derivatives(state.bundle,
+                                  state.stabilized).laplacian.values
+    forcing = 2.0 * _tensor_norm_sq(state.bundle.inverse,
+                                    ricci_hessian_gap(state))
+    return rate - lap_s - forcing
 
 
 def evolution_identity_residual(traj: FlowTrajectory,
                                 index: int) -> ScalarField:
-    """dS/dt - Lap S - 2|Ric - D^2 phi|^2 at one interior state.
-
-    The time slope is a centered difference of the cached stabilized
-    scalars of the neighboring states; all spatial terms come from the
-    indexed state alone.
-    """
+    """dS/dt - Lap S - 2|Ric - D^2 phi|^2 at one interior state."""
     if not 1 <= index <= len(traj.states) - 2:
         raise ValueError(f"index {index} needs both neighbors; trajectory "
                          f"has {len(traj.states)} states")
-    prev_s = traj.states[index - 1].stabilized.values
-    next_s = traj.states[index + 1].stabilized.values
-    rate = (next_s - prev_s) / (2.0 * traj.dt)
-
-    state = traj.states[index]
-    lap_s = potential_derivatives(state.bundle,
-                                  state.stabilized).laplacian.values
-    gap = ricci_hessian_gap(state)
-    forcing = 2.0 * _tensor_norm_sq(state.bundle.inverse, gap)
-    return ScalarField(state.metric.grid, rate - lap_s - forcing)
+    prev, state, nxt = traj.states[index - 1:index + 2]
+    return ScalarField(state.metric.grid,
+                       _identity_residual(prev, state, nxt, traj.dt))
 
 
 @dataclass(frozen=True)
@@ -179,17 +187,33 @@ class MonotonicityReport:
         return not self.violations
 
 
-def monotonicity_report(traj: FlowTrajectory,
-                        rigidity_tol: float = 1e-8) -> MonotonicityReport:
-    if len(traj.states) < 2:
+def monotonicity_report(states, rigidity_tol: float = 1e-8,
+                        each_window=None) -> MonotonicityReport:
+    """Fold a FlowTrajectory, or any iterable of states, into the report.
+
+    The states are read once through a (prev, state, nxt) window, so a
+    generator of states keeps at most three of them live.  When given,
+    each_window(prev, state, nxt) is called once per state; prev and
+    nxt are None past either end.
+    """
+    if isinstance(states, FlowTrajectory):
+        states = states.states
+    stream = iter(states)
+    rows = []
+    prev, state = None, next(stream, None)
+    while state is not None:
+        nxt = next(stream, None)
+        rows.append((state.t, state.stabilized.values.min(),
+                     f_functional(state.metric, state.phi,
+                                  stabilized=state.stabilized),
+                     np.abs(ricci_hessian_gap(state)).max()))
+        if each_window is not None:
+            each_window(prev, state, nxt)
+        prev, state = state, nxt
+    if len(rows) < 2:
         raise ValueError("need at least two states")
-    times = np.array([s.t for s in traj.states])
-    inf_s = np.array([s.stabilized.values.min() for s in traj.states])
-    f_vals = np.array([f_functional(s.metric, s.phi, stabilized=s.stabilized)
-                       for s in traj.states])
-    gaps = np.array([np.abs(ricci_hessian_gap(s)).max()
-                     for s in traj.states])
-    violations = tuple(int(k) for k in range(len(traj.states) - 1)
+    times, inf_s, f_vals, gaps = (np.array(col) for col in zip(*rows))
+    violations = tuple(int(k) for k in range(len(rows) - 1)
                        if inf_s[k + 1] < inf_s[k] - 1e-8)
     return MonotonicityReport(times, inf_s, f_vals, gaps, violations,
                               gaps <= rigidity_tol)
@@ -214,7 +238,7 @@ def adjoint_supersolution_residual(state: FlowState) -> ScalarField:
     inv = bundle.inverse
     ric = bundle.ricci.values
     r = bundle.scalar.values
-    pot = potential_derivatives(bundle, state.phi)
+    pot = state.potential
 
     def grad(values):
         return np.stack([diff_array(values, grid, a, 1)
@@ -359,8 +383,6 @@ def run_profile_flow(p: SphereProfile, dt: float,
 
 def profile_state(p: SphereProfile, lon_res: int = 8) -> FlowState:
     """Lift a profile to a 2-D staggered chart for static checks only."""
-    from .charts import make_chart
-
     n = p.theta.size
     grid = make_chart(2, (n, lon_res),
                       (np.pi * (n - 1) / n, 2.0 * np.pi),
@@ -374,20 +396,30 @@ def profile_state(p: SphereProfile, lon_res: int = 8) -> FlowState:
     return make_flow_state(p.t, metric, phi)
 
 
-def write_trajectory_series(traj: FlowTrajectory,
-                            path) -> MonotonicityReport:
+def write_trajectory_series(states, path,
+                            dt: float | None = None) -> MonotonicityReport:
     """Per-state series; identity residual is blank at the endpoints.
 
+    states is a FlowTrajectory, or any iterable of states spaced dt
+    apart; it is read once, through the report's three-state window.
     Returns the monotonicity report the series was written from.
     """
-    report = monotonicity_report(traj)
+    if isinstance(states, FlowTrajectory):
+        dt = states.dt
+    if dt is None:
+        raise ValueError("a stream of states needs its time step dt")
+    tails = []
+
+    def residual(prev, state, nxt):
+        if prev is None or nxt is None:
+            tails.append("nan")
+            return
+        res = np.abs(_identity_residual(prev, state, nxt, dt)).max()
+        tails.append(f"{res:.17g}")
+
+    report = monotonicity_report(states, each_window=residual)
     rows = ["t,inf_S,F,max_ricci_hessian_gap,identity_residual_maxnorm"]
-    for k in range(len(traj.states)):
-        if 1 <= k <= len(traj.states) - 2:
-            res = np.abs(evolution_identity_residual(traj, k).values).max()
-            tail = f"{res:.17g}"
-        else:
-            tail = "nan"
+    for k, tail in enumerate(tails):
         rows.append(",".join([f"{report.times[k]:.17g}",
                               f"{report.inf_s[k]:.17g}",
                               f"{report.f_values[k]:.17g}",

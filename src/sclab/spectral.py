@@ -17,7 +17,6 @@ rows is first order, which does not disturb eigenvalue accuracy.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
 
@@ -335,21 +334,6 @@ def principal_eigenpair(problem: SpectralProblem, tol: float = 1e-10,
     raise RuntimeError(f"inverse iteration did not converge in "
                        f"{max_iterations} iterations; last residual "
                        f"{res_norm:.3e}")
-
-
-DENSE_ORACLE_CAP = 1024
-
-
-def dense_principal_eigenvalue(problem: SpectralProblem) -> float:
-    """Brute-force generalized eigensolve, usable up to 1024 nodes."""
-    n = problem.operator.shape[0]
-    if n > DENSE_ORACLE_CAP:
-        raise ValueError(f"dense oracle capped at {DENSE_ORACLE_CAP} nodes, "
-                         f"got {n}")
-    k = sparse.diags(problem.mass) @ problem.operator
-    k = 0.5 * (k.toarray() + k.toarray().T)
-    values = scipy.linalg.eigh(k, np.diag(problem.mass), eigvals_only=True)
-    return float(values[0])
 
 
 def write_eigenreport(path, problem_id: str, pair: EigenPair) -> None:

@@ -24,9 +24,11 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .charts import PERIODIC, ChartGrid, ScalarField, TensorField, node_tuple
+from .charts import (PERIODIC, ChartGrid, ScalarField, TensorField,
+                     integrate, node_tuple)
 from .curvature import stabilized_scalar
-from .models import TWO_PI, flat_torus, sphere_band, torus_surface
+from .models import (TWO_PI, flat_torus, sphere_band, sphere_full,
+                     torus_surface)
 
 # Offsets generate undirected edges once each; negations are implicit.
 # 16-neighbor adds the knight moves, halving the worst direction gap.
@@ -39,8 +41,8 @@ CONNECTIVITY_OFFSETS = {
 
 # Cover layers searched by systole_sigma.  A minimizer with partial
 # winding outside [-2, 3] would have to cross the cut five extra times;
-# no metric in this corpus comes close.  Truncation can only widen the
-# reported upper bound, never break the returned cycle.
+# no metric in this corpus comes close, and systole_sigma raises if a
+# walk within a search's limit could step out of the window.
 _LAYER_LO, _LAYER_HI = -2, 3
 
 
@@ -64,15 +66,6 @@ class WindingGraph:
     @property
     def node_count(self) -> int:
         return int(np.prod(self.grid.shape))
-
-    def edge_table(self) -> dict:
-        """(a, b) -> (length, winding along a -> b), both orientations."""
-        table = {}
-        for a, b, ell, w in zip(self.tail.tolist(), self.head.tolist(),
-                                self.length.tolist(), self.winding.tolist()):
-            table[(a, b)] = (ell, w)
-            table[(b, a)] = (ell, -w)
-        return table
 
 
 def _midpoint_metric(grid, metric, tail_idx, head_idx, mid_coords):
@@ -165,38 +158,20 @@ def quantization_bound(connectivity: int) -> float:
     return 1.0 / math.cos(0.5 * max(gaps)) - 1.0
 
 
-def cycle_length(graph: WindingGraph, cycle) -> tuple[float, int]:
-    """Length and total winding of a closed node walk (first == last)."""
-    if len(cycle) < 2 or cycle[0] != cycle[-1]:
-        raise ValueError("cycle must be a closed walk (first node == last)")
-    table = graph.edge_table()
-    total, wind = 0.0, 0
-    for a, b in zip(cycle[:-1], cycle[1:]):
-        if (a, b) not in table:
-            raise ValueError(f"walk step {a} -> {b} is not a graph edge")
-        ell, w = table[(a, b)]
-        total += ell
-        wind += w
-    return total, wind
-
-
 def _straight_loop_bound(graph: WindingGraph) -> float:
     """Length of the cheapest pure-xi axis loop; a valid winding cycle,
     so an upper bound that seeds the shortest-path pruning."""
-    n_xi = graph.grid.shape[graph.xi_axis]
-    table = graph.edge_table()
     n0, n1 = graph.grid.shape
-    best = math.inf
-    other_range = range(n1) if graph.xi_axis == 0 else range(n0)
-    for j in other_range:
-        total = 0.0
-        for i in range(n_xi):
-            a = (i, j) if graph.xi_axis == 0 else (j, i)
-            b = ((i + 1) % n_xi, j) if graph.xi_axis == 0 \
-                else (j, (i + 1) % n_xi)
-            total += table[(a[0] * n1 + a[1], b[0] * n1 + b[1])][0]
-        best = min(best, total)
-    return best
+    # build_winding_graph stores edges offset by offset, tails in
+    # row-major order: the (1, 0) block comes first, one row short when
+    # axis 0 is a boundary axis, and the (0, 1) block follows it.
+    start = 0
+    if graph.xi_axis == 1:
+        start = n1 * (n0 if graph.grid.topology[0] == PERIODIC else n0 - 1)
+    steps = graph.length[start:start + n0 * n1].reshape(n0, n1)
+    # cumsum adds along the loop in order, as walking it would
+    loops = np.cumsum(steps, axis=graph.xi_axis).take(-1, graph.xi_axis)
+    return float(loops.min())
 
 
 def _cover_matrix(graph: WindingGraph) -> csr_matrix:
@@ -217,6 +192,41 @@ def _cover_matrix(graph: WindingGraph) -> csr_matrix:
     return csr_matrix((np.concatenate(data),
                        (np.concatenate(rows), np.concatenate(cols))),
                       shape=(size, size))
+
+
+def _window_exits(graph: WindingGraph) -> tuple:
+    """Cover steps that the layer window cuts off, per outermost layer:
+    (layer, cover ids of the step tails, step lengths)."""
+    n = graph.node_count
+    cross = np.flatnonzero(graph.winding)
+    tails = np.concatenate((graph.tail[cross], graph.head[cross]))
+    shift = np.concatenate((graph.winding[cross], -graph.winding[cross]))
+    lengths = np.concatenate((graph.length[cross], graph.length[cross]))
+    down, up = shift < 0, shift > 0
+    top = (_LAYER_HI - _LAYER_LO) * n
+    return ((_LAYER_LO, tails[down], lengths[down]),
+            (_LAYER_HI, top + tails[up], lengths[up]))
+
+
+def _check_layer_window(graph: WindingGraph, dist: np.ndarray, limit: float,
+                        source: int, exits: tuple) -> None:
+    """Raise if a walk within the search limit could leave the window.
+
+    A walk's first step out of the window starts at a node of an
+    outermost layer that the truncated search has settled.  When no
+    such step fits under the limit, the cut changed no distance the
+    search kept.
+    """
+    for layer, ids, lengths in exits:
+        over = np.flatnonzero(dist[ids] + lengths <= limit)
+        if over.size:
+            node = node_tuple(int(ids[over[0]]) % graph.node_count,
+                              graph.grid.shape)
+            raise RuntimeError(
+                f"systole search from cut node "
+                f"{node_tuple(source, graph.grid.shape)} can leave the "
+                f"cover's layer window [{_LAYER_LO}, {_LAYER_HI}] from "
+                f"node {node} in layer {layer}")
 
 
 def systole_sigma(graph: WindingGraph) -> tuple[float, tuple[int, ...]]:
@@ -243,6 +253,7 @@ def systole_sigma(graph: WindingGraph) -> tuple[float, tuple[int, ...]]:
         cut = sorted(i * n1 + j for j in (0, n1 - 1) for i in range(n0))
 
     cover = _cover_matrix(graph)
+    exits = _window_exits(graph)
     best = _straight_loop_bound(graph) * (1.0 + 1e-9)
     best_len = math.inf
     best_pred = None
@@ -251,6 +262,7 @@ def systole_sigma(graph: WindingGraph) -> tuple[float, tuple[int, ...]]:
         src = base * n + v
         dist, pred = dijkstra(cover, directed=True, indices=src,
                               limit=best, return_predecessors=True)
+        _check_layer_window(graph, dist, best, v, exits)
         d = float(dist[(base + 1) * n + v])
         if d < best_len:
             best_len, best_pred, best_node = d, pred, v
@@ -323,9 +335,9 @@ def equality_certificate(model, resolution: int = 128,
 
     DiskCylinder: boundary mean curvature times the measured boundary
     systole, (1/r) * sigma, against 2 pi.  SphereCylinder: measured
-    inf S times the round factor's area against 8 pi; the area is taken
-    analytically as 4 pi r^2 (stated in the note).  FlatTorus: inf S of
-    the flat metric with constant potential against 0.
+    inf S times the measured area of the round factor against 8 pi.
+    FlatTorus: inf S of the flat metric with constant potential
+    against 0.
     """
     if isinstance(model, DiskCylinder):
         if len(model.fiber_lengths) != 1:
@@ -351,19 +363,12 @@ def equality_certificate(model, resolution: int = 128,
         lat = max(33, min(resolution, 129) | 1)
         grid, metric = sphere_band(lat, 16, radius=model.radius)
         phi = ScalarField(grid, np.zeros(grid.shape))
-        s = stabilized_scalar(metric, phi)
-        # inf S * area cancels to 8 pi in exact arithmetic; the lattice
-        # only has to confirm inf S against the model value 2 / r^2.
-        lhs = 8.0 * math.pi
-        inf_gap = abs(float(s.values.min()) * model.radius ** 2 / 2.0 - 1.0)
-        cert = _finish(model, lhs, 8.0 * math.pi,
-                       "area of the round factor taken analytically as "
-                       "4 pi r^2 and inf S as 2/r^2 (exact cancellation); "
-                       f"measured inf S gap {inf_gap:.3e}")
-        if inf_gap > PASS_TOL:
-            cert = EqualityCertificate(model, lhs, cert.rhs, cert.relative_gap,
-                                       "fail", cert.note)
-        return cert
+        inf_s = float(stabilized_scalar(metric, phi).values.min())
+        grid, metric = sphere_full(lat, 32, radius=model.radius)
+        area = integrate(ScalarField(grid, np.ones(grid.shape)), metric)
+        return _finish(model, inf_s * area, 8.0 * math.pi,
+                       "inf S on a latitude band times the quadrature area "
+                       "of the round factor; both sides measured")
 
     if isinstance(model, FlatTorus):
         if not all(l > 0.0 for l in model.lengths):

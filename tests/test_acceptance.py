@@ -19,8 +19,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from sclab.charts import PERIODIC, ScalarField, constant_metric, make_chart, \
-    sample_field
+from helpers import constant_metric, dense_principal_eigenvalue
+from sclab.charts import PERIODIC, ScalarField, make_chart, sample_field
 from sclab.curvature import curvature_bundle, f_functional, warped_residual
 from sclab.flow import (
     FlowTrajectory,
@@ -55,11 +55,11 @@ from sclab.models import (
 from sclab.spectral import (
     assemble_drift_operator,
     assemble_jacobi,
-    dense_principal_eigenvalue,
     lapse_residual,
     principal_eigenpair,
 )
 from sclab.systole import (
+    PASS_TOL,
     DiskCylinder,
     FlatTorus,
     SphereCylinder,
@@ -318,10 +318,9 @@ def test_09_equality_certificates():
 
         sphere = equality_certificate(SphereCylinder(1.0, (10.0,)),
                                       resolution=128)
-        assert sphere.lhs == 8.0 * math.pi
+        assert abs(sphere.lhs - 8.0 * math.pi) <= PASS_TOL * 8.0 * math.pi
         assert sphere.verdict == "pass"
-        measured_gap = float(sphere.note.split()[-1])
-        assert 0.0 < measured_gap <= 1e-2
+        assert 0.0 < sphere.relative_gap <= 1e-2
 
         flat = equality_certificate(FlatTorus((TWO_PI, TWO_PI)))
         assert flat.verdict == "pass"

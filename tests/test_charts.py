@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import differentiate, reduce_min
 from sclab.charts import (BOUNDARY, PERIODIC, ScalarField, TensorField,
-                          diff_array, differentiate, integrate, make_chart,
-                          read_snapshot, reduce_min, sample_field, tree_sum,
-                          write_snapshot)
+                          diff_array, integrate, make_chart, read_snapshot,
+                          sample_field, tree_sum, write_snapshot)
 from sclab.models import flat_torus, sphere_full
 
 TWO_PI = 2.0 * np.pi

@@ -16,6 +16,7 @@ import os
 import shlex
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -36,6 +37,14 @@ from sclab.systole import build_winding_graph, systole_sigma
 def out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("SCL_OUTPUT_DIR", str(tmp_path))
     return tmp_path
+
+
+def patch_every_binding(monkeypatch, real, replacement):
+    """Point every sclab module's binding of `real` at `replacement`."""
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("sclab.")
+                and getattr(module, real.__name__, None) is real):
+            monkeypatch.setattr(module, real.__name__, replacement)
 
 
 def read_csv(path):
@@ -272,6 +281,46 @@ class TestFlowCommand:
                      "steps=5"]) == 0
         assert len(calls) == 1
 
+    def test_torus_run_holds_three_states(self, out_dir, monkeypatch):
+        # the series is folded through a (prev, state, next) window, so
+        # the number of live states does not grow with the step count
+        from sclab import flow
+        real = flow.make_flow_state
+        refs = []   # weak references: FlowState holds arrays, so no hash
+        counts = []
+
+        def tracking(*args, **kwargs):
+            state = real(*args, **kwargs)
+            refs.append(weakref.ref(state))
+            counts.append(sum(ref() is not None for ref in refs))
+            return state
+
+        patch_every_binding(monkeypatch, real, tracking)
+        assert main(["flow", "torus", "res=16", "amplitude=0.1", "dt=1e-3",
+                     "steps=40"]) == 0
+        assert len(counts) == 41
+        assert max(counts) <= 3
+
+    def test_torus_run_derives_phi_once_per_state(self, out_dir,
+                                                  monkeypatch):
+        # one potential_derivatives call for phi per state, one more for
+        # Lap S in the identity residual at interior states
+        from sclab import curvature, flow
+        calls = {}
+
+        def counting(real):
+            def wrapper(*args, **kwargs):
+                calls[real.__name__] = calls.get(real.__name__, 0) + 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for real in (flow.make_flow_state, curvature.potential_derivatives):
+            patch_every_binding(monkeypatch, real, counting(real))
+        assert main(["flow", "torus", "res=16", "amplitude=0.1", "dt=1e-3",
+                     "steps=40"]) == 0
+        assert calls["make_flow_state"] == 41
+        assert calls["potential_derivatives"] <= 2 * calls["make_flow_state"]
+
     def test_cfl_violation_is_operational_error(self, out_dir, capsys):
         assert main(["flow", "torus", "res=16", "dt=1.0", "steps=2"]) == 1
         assert "violates" in capsys.readouterr().err
@@ -361,7 +410,7 @@ class TestCertifyCommand:
 
     def test_under_resolved_sphere_fails_gate(self, out_dir, capsys):
         # a 33-latitude band cannot place inf S within 1%, and the
-        # certificate must say so rather than pass on the exact algebra
+        # measured lhs must carry that gap into the verdict
         assert main(["certify", "sphere-cylinder", "res=32"]) == 2
         assert "verdict=fail" in capsys.readouterr().out
 

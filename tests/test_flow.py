@@ -21,6 +21,7 @@ from sclab.flow import (
     adjoint_supersolution_residual,
     cfl_bound,
     evolution_identity_residual,
+    flow_states,
     make_flow_state,
     monotonicity_report,
     profile_cfl_bound,
@@ -360,3 +361,30 @@ class TestSeries:
         mid = lines[3].split(",")
         expect = np.abs(evolution_identity_residual(traj, 2).values).max()
         assert float(mid[-1]) == expect
+
+    def test_stream_writes_the_trajectory_files(self, tmp_path):
+        # a generator of states and the kept trajectory give the same
+        # series and the same snapshots, byte for byte
+        state = perturbed_torus_state(16, phi_axis=1)
+        for name in ("stream", "kept"):
+            (tmp_path / name).mkdir()
+        write_trajectory_series(
+            flow_states(state, 1.0e-3, 6, snapshot_every=2,
+                        snapshot_dir=str(tmp_path / "stream")),
+            tmp_path / "stream" / "series.csv", dt=1.0e-3)
+        write_trajectory_series(
+            run_flow(state, 1.0e-3, 6, snapshot_every=2,
+                     snapshot_dir=str(tmp_path / "kept")),
+            tmp_path / "kept" / "series.csv")
+        names = sorted(p.name for p in (tmp_path / "kept").iterdir())
+        assert names == ["series.csv", "state_000002.snap",
+                         "state_000004.snap", "state_000006.snap"]
+        for name in names:
+            assert ((tmp_path / "stream" / name).read_bytes()
+                    == (tmp_path / "kept" / name).read_bytes())
+
+    def test_stream_needs_its_time_step(self, tmp_path):
+        state = perturbed_torus_state(16, phi_axis=1)
+        with pytest.raises(ValueError, match="time step"):
+            write_trajectory_series(flow_states(state, 1.0e-3, 2),
+                                    tmp_path / "series.csv")

@@ -12,11 +12,11 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import constant_metric
 from sclab.charts import (
     BOUNDARY,
     PERIODIC,
     ScalarField,
-    constant_metric,
     make_chart,
     sample_field,
 )

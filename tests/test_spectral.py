@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from helpers import dense_principal_eigenvalue
 from sclab.charts import BOUNDARY, PERIODIC, ScalarField, make_chart
 from sclab.hypersurface import embed_graph, make_graph_foliation
 from sclab.models import (
@@ -29,7 +30,6 @@ from sclab.models import (
 from sclab.spectral import (
     assemble_drift_operator,
     assemble_jacobi,
-    dense_principal_eigenvalue,
     lapse_residual,
     principal_eigenpair,
     write_eigenreport,

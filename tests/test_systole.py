@@ -19,17 +19,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sclab.charts import TensorField, constant_metric, make_chart
+from helpers import constant_metric, cycle_length, edge_table
+from sclab import systole
+from sclab.charts import TensorField, make_chart
 from sclab.models import TWO_PI, flat_torus, torus_surface
 from sclab.systole import (
     CONNECTIVITY_OFFSETS,
+    PASS_TOL,
     DiskCylinder,
     EqualityCertificate,
     FlatTorus,
     SphereCylinder,
     build_winding_graph,
     certificate_line,
-    cycle_length,
     equality_certificate,
     quantization_bound,
     systole_sigma,
@@ -216,7 +218,7 @@ class TestWindingGraph:
         n0, n1 = graph.grid.shape
         n_xi = graph.grid.shape[graph.xi_axis]
         adj = adjacency(graph)
-        table = graph.edge_table()
+        table = edge_table(graph)
 
         def xi_of(v):
             return v // n1 if graph.xi_axis == 0 else v % n1
@@ -408,6 +410,16 @@ class TestSystole:
         with pytest.raises(ValueError, match="not a graph edge"):
             cycle_length(graph, (0, 5, 0))
 
+    def test_layer_window_check_fires_when_narrowed(self, monkeypatch):
+        # with only levels 0 and 1 in the cover, the first source's step
+        # back across the cut already leaves the window
+        monkeypatch.setattr(systole, "_LAYER_LO", 0)
+        monkeypatch.setattr(systole, "_LAYER_HI", 1)
+        graph = cached(("aniso", 16, 8), lambda: aniso_graph(16, 8))
+        with pytest.raises(RuntimeError, match=r"window \[0, 1\] from node "
+                                               r"\(0, 0\) in layer 0"):
+            systole_sigma(graph)
+
 
 class TestCertificates:
     def test_disk_cylinder_certificate(self):
@@ -420,12 +432,19 @@ class TestCertificates:
     def test_sphere_cylinder_certificate(self):
         cert = cert_sphere()
         assert cert.rhs == 8.0 * math.pi
-        assert cert.lhs == 8.0 * math.pi
-        assert cert.relative_gap == 0.0
+        assert abs(cert.lhs - 8.0 * math.pi) <= PASS_TOL * 8.0 * math.pi
         assert cert.verdict == "pass"
-        assert "4 pi r^2" in cert.note
-        gap = float(cert.note.rsplit("gap ", 1)[1])
-        assert 0.0 < gap <= 1e-2
+        assert 0.0 < cert.relative_gap <= 1e-2
+
+    def test_sphere_cylinder_gap_carries_the_fail(self):
+        # a 33-latitude band misplaces inf S by more than PASS_TOL; the
+        # fail must show in the printed gap, not only in the verdict
+        cert = equality_certificate(SphereCylinder(1.0, (10.0,)),
+                                    resolution=33)
+        assert cert.verdict == "fail"
+        assert cert.relative_gap > PASS_TOL
+        assert cert.relative_gap == pytest.approx(
+            abs(cert.lhs - 8.0 * math.pi) / (8.0 * math.pi), rel=1e-12)
 
     def test_flat_torus_certificate(self):
         cert = cert_flat()
