@@ -132,9 +132,6 @@ class ScalarField:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    def replace_values(self, values) -> "ScalarField":
-        return ScalarField(self.grid, values)
-
 
 @dataclass(frozen=True)
 class TensorField:
@@ -151,9 +148,6 @@ class TensorField:
         _check_finite(v, self.grid)
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-    def replace_values(self, values) -> "TensorField":
-        return TensorField(self.grid, self.rank, values)
 
 
 def make_chart(dim, resolution, extent, topology, origin=None) -> ChartGrid:

@@ -21,7 +21,7 @@ from .curvature import f_functional
 from .expressions import ExpressionError, parse_expression
 from .flow import (adjoint_supersolution_residual, cfl_bound,
                    evolution_identity_residual, flow_states, make_flow_state,
-                   profile_state, ricci_hessian_gap, round_profile, run_flow,
+                   profile_state, ricci_hessian_gap, round_profile,
                    run_profile_flow, write_trajectory_series)
 from .hypersurface import embed_graph
 from .models import (TWO_PI, conformal_torus, flat_torus, sphere_band,
@@ -327,7 +327,7 @@ def _run_flow(config) -> int:
         dt = config.dt
     # the writer folds the stream through a three-state window, so the
     # run holds three states however many steps it takes
-    report = write_trajectory_series(states, path, dt=dt)
+    report = write_trajectory_series(states, path, dt)
     verdict = "pass" if report.monotone else "fail"
     print(f"flow: {len(report.times)} states, inf_S "
           f"{report.inf_s[0]:.6g} -> {report.inf_s[-1]:.6g}, "
@@ -350,8 +350,9 @@ def _run_identity(config) -> int:
     for res, state in zip(config.resolutions, states):
         # midpoint states keep the time-slope error at O(dt^2), far
         # below the h^2 signal the order fit is after
-        traj = run_flow(state, dt, 2, scheme="midpoint")
-        evo = float(np.abs(evolution_identity_residual(traj, 1).values).max())
+        prev, mid, nxt = flow_states(state, dt, 2, scheme="midpoint")
+        evo = float(np.abs(evolution_identity_residual(prev, mid, nxt,
+                                                       dt)).max())
         adj = float(np.abs(adjoint_supersolution_residual(state).values).max())
         rows.append({"resolution": res, "evolution_residual_maxnorm": evo,
                      "adjoint_residual_maxnorm": adj})
@@ -472,15 +473,18 @@ def main(argv=None) -> int:
                 raise ConfigError("--config takes exactly one path")
             with open(args[1]) as fh:
                 pairs = parse_config_lines(fh.read())
-            named = {k: (v, where) for k, v, where in pairs}
-            if "command" not in named or "geometry" not in named:
+            head, rest = {}, []
+            for key, value, where in pairs:
+                if key not in ("command", "geometry"):
+                    rest.append((key, value, where))
+                elif key in head:
+                    raise ConfigError(f"{where}: duplicate key {key!r}")
+                else:
+                    head[key] = value
+            if len(head) < 2:
                 raise ConfigError("config file must set command= and "
                                   "geometry=")
-            command = named.pop("command")[0]
-            geometry = named.pop("geometry")[0]
-            rest = [(k, v, where) for k, v, where in pairs
-                    if k not in ("command", "geometry")]
-            config = build_config(command, geometry, rest)
+            config = build_config(head["command"], head["geometry"], rest)
         else:
             if len(args) < 2 or "=" in args[1]:
                 raise ConfigError("usage: scl <command> <geometry> "

@@ -185,13 +185,9 @@ def stabilized_scalar(metric: TensorField, phi: ScalarField,
 
 
 def f_functional(metric: TensorField, phi: ScalarField,
-                 stabilized: ScalarField | None = None) -> float:
-    """Weighted total stabilized curvature: integral of S e^phi dvol.
-
-    stabilized is S of (metric, phi) when the caller already holds it.
-    """
-    if stabilized is None:
-        stabilized = stabilized_scalar(metric, phi)
+                 stabilized: ScalarField) -> float:
+    """Weighted total stabilized curvature: integral of S e^phi dvol,
+    given stabilized = S of (metric, phi)."""
     weighted = ScalarField(metric.grid,
                            stabilized.values * np.exp(phi.values))
     return integrate(weighted, metric)

@@ -29,6 +29,7 @@ from .curvature import (
 )
 
 CFL_FACTOR = 0.2
+RIGIDITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -97,13 +98,6 @@ def step_coupled_flow(state: FlowState, dt: float,
     return make_flow_state(state.t + dt, metric, phi)
 
 
-@dataclass(frozen=True)
-class FlowTrajectory:
-    states: tuple
-    dt: float
-    scheme_order: int
-
-
 def flow_states(state: FlowState, dt: float, steps: int,
                 scheme: str = "euler", snapshot_every: int = 0,
                 snapshot_dir=None):
@@ -122,15 +116,6 @@ def flow_states(state: FlowState, dt: float, steps: int,
         yield state
 
 
-def run_flow(initial: FlowState, dt: float, steps: int,
-             scheme: str = "euler", snapshot_every: int = 0,
-             snapshot_dir=None) -> FlowTrajectory:
-    """Advance the coupled system and keep every state."""
-    states = tuple(flow_states(initial, dt, steps, scheme, snapshot_every,
-                               snapshot_dir))
-    return FlowTrajectory(states, float(dt), 1 if scheme == "euler" else 2)
-
-
 def _tensor_norm_sq(inverse: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     """|T|^2 = g^{ia} g^{jb} T_ij T_ab for a symmetric 2-tensor."""
     return np.einsum("...ia,...jb,...ij,...ab->...", inverse, inverse,
@@ -142,11 +127,11 @@ def ricci_hessian_gap(state: FlowState) -> np.ndarray:
     return state.bundle.ricci.values - state.potential.hessian.values
 
 
-def _identity_residual(prev: FlowState, state: FlowState, nxt: FlowState,
-                       dt: float) -> np.ndarray:
-    """dS/dt - Lap S - 2|Ric - D^2 phi|^2 at the middle of three states:
-    a centered time slope of the neighbors' cached stabilized scalars,
-    all spatial terms from the middle state alone."""
+def evolution_identity_residual(prev: FlowState, state: FlowState,
+                                nxt: FlowState, dt: float) -> np.ndarray:
+    """dS/dt - Lap S - 2|Ric - D^2 phi|^2 at the middle of three states
+    spaced dt apart: a centered time slope of the neighbors' cached
+    stabilized scalars, all spatial terms from the middle state alone."""
     rate = (nxt.stabilized.values - prev.stabilized.values) / (2.0 * dt)
     lap_s = potential_derivatives(state.bundle,
                                   state.stabilized).laplacian.values
@@ -155,24 +140,13 @@ def _identity_residual(prev: FlowState, state: FlowState, nxt: FlowState,
     return rate - lap_s - forcing
 
 
-def evolution_identity_residual(traj: FlowTrajectory,
-                                index: int) -> ScalarField:
-    """dS/dt - Lap S - 2|Ric - D^2 phi|^2 at one interior state."""
-    if not 1 <= index <= len(traj.states) - 2:
-        raise ValueError(f"index {index} needs both neighbors; trajectory "
-                         f"has {len(traj.states)} states")
-    prev, state, nxt = traj.states[index - 1:index + 2]
-    return ScalarField(state.metric.grid,
-                       _identity_residual(prev, state, nxt, traj.dt))
-
-
 @dataclass(frozen=True)
 class MonotonicityReport:
     """Per-state series for the maximum-principle and rigidity checks.
 
     violations lists indices k where inf S dropped by more than 1e-8
     from state k to k+1; rigidity marks states whose Ric - D^2 phi gap
-    is below the given tolerance (the equality mechanism).
+    is at most RIGIDITY_TOL (the equality mechanism).
     """
 
     times: np.ndarray
@@ -187,17 +161,14 @@ class MonotonicityReport:
         return not self.violations
 
 
-def monotonicity_report(states, rigidity_tol: float = 1e-8,
-                        each_window=None) -> MonotonicityReport:
-    """Fold a FlowTrajectory, or any iterable of states, into the report.
+def monotonicity_report(states, each_window=None) -> MonotonicityReport:
+    """Fold an iterable of states into the report.
 
     The states are read once through a (prev, state, nxt) window, so a
     generator of states keeps at most three of them live.  When given,
     each_window(prev, state, nxt) is called once per state; prev and
     nxt are None past either end.
     """
-    if isinstance(states, FlowTrajectory):
-        states = states.states
     stream = iter(states)
     rows = []
     prev, state = None, next(stream, None)
@@ -216,7 +187,7 @@ def monotonicity_report(states, rigidity_tol: float = 1e-8,
     violations = tuple(int(k) for k in range(len(rows) - 1)
                        if inf_s[k + 1] < inf_s[k] - 1e-8)
     return MonotonicityReport(times, inf_s, f_vals, gaps, violations,
-                              gaps <= rigidity_tol)
+                              gaps <= RIGIDITY_TOL)
 
 
 def adjoint_supersolution_residual(state: FlowState) -> ScalarField:
@@ -396,25 +367,20 @@ def profile_state(p: SphereProfile, lon_res: int = 8) -> FlowState:
     return make_flow_state(p.t, metric, phi)
 
 
-def write_trajectory_series(states, path,
-                            dt: float | None = None) -> MonotonicityReport:
+def write_trajectory_series(states, path, dt: float) -> MonotonicityReport:
     """Per-state series; identity residual is blank at the endpoints.
 
-    states is a FlowTrajectory, or any iterable of states spaced dt
-    apart; it is read once, through the report's three-state window.
-    Returns the monotonicity report the series was written from.
+    states is any iterable of states spaced dt apart; it is read once,
+    through the report's three-state window.  Returns the monotonicity
+    report the series was written from.
     """
-    if isinstance(states, FlowTrajectory):
-        dt = states.dt
-    if dt is None:
-        raise ValueError("a stream of states needs its time step dt")
     tails = []
 
     def residual(prev, state, nxt):
         if prev is None or nxt is None:
             tails.append("nan")
             return
-        res = np.abs(_identity_residual(prev, state, nxt, dt)).max()
+        res = np.abs(evolution_identity_residual(prev, state, nxt, dt)).max()
         tails.append(f"{res:.17g}")
 
     report = monotonicity_report(states, each_window=residual)

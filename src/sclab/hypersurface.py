@@ -325,16 +325,11 @@ def gauss_identity_residual(emb: HypersurfaceEmbedding, rho: ScalarField,
     return ScalarField(emb.slice_grid, lhs.values - rhs.values)
 
 
-def weighted_area(emb: HypersurfaceEmbedding,
-                  phi: ScalarField | None = None) -> float:
+def weighted_area(emb: HypersurfaceEmbedding, phi: ScalarField) -> float:
     """Integral of e^phi over the hypersurface in its induced metric."""
-    if phi is None:
-        density = np.ones(emb.slice_grid.shape)
-    else:
-        if phi.grid != emb.ambient_grid:
-            raise ValueError("log-density lives on a different ambient grid")
-        density = np.exp(emb.sample(phi))
-    return integrate(ScalarField(emb.slice_grid, density),
+    if phi.grid != emb.ambient_grid:
+        raise ValueError("log-density lives on a different ambient grid")
+    return integrate(ScalarField(emb.slice_grid, np.exp(emb.sample(phi))),
                      emb.induced_metric)
 
 
@@ -343,20 +338,21 @@ class GraphFoliation:
     """Family of graph hypersurfaces over a shared slice grid.
 
     lapse is the normal speed <nu, d/dt graph>, required positive.
-    weighted_H is H + <grad phi, nu> per slice, for the log-density the
-    foliation was built with (None means phi = 0).
+    weighted_H is H + <grad phi, nu> per slice, for the log-density phi
+    the foliation was built with; an unweighted foliation carries the
+    zero field, which gives weighted_H = H.
     """
 
     times: tuple
     slices: tuple
     lapse: tuple
     weighted_H: tuple
-    log_density: ScalarField | None
+    log_density: ScalarField
 
 
 def make_graph_foliation(metric: TensorField, times, heights,
-                         graph_axis: int | None = None, orientation: int = 1,
-                         phi: ScalarField | None = None) -> GraphFoliation:
+                         phi: ScalarField, graph_axis: int | None = None,
+                         orientation: int = 1) -> GraphFoliation:
     times = [float(t) for t in times]
     if len(times) != len(heights):
         raise ValueError(f"{len(times)} times against {len(heights)} heights")
@@ -381,10 +377,7 @@ def make_graph_foliation(metric: TensorField, times, heights,
                              f"(t = {times[k]:.6g}); flip the orientation "
                              "or reorder the slices")
         lapse.append(ScalarField(emb.slice_grid, f))
-        if phi is None:
-            weighted.append(emb.mean_curvature)
-        else:
-            weighted.append(weighted_mean_curvature(emb, phi))
+        weighted.append(weighted_mean_curvature(emb, phi))
     return GraphFoliation(tuple(times), tuple(slices), tuple(lapse),
                           tuple(weighted), phi)
 
@@ -412,9 +405,8 @@ def weighted_area_variation(fol: GraphFoliation) -> AreaVariation:
 
     variation = np.empty(len(fol.slices))
     for k, emb in enumerate(fol.slices):
-        density = (np.ones(emb.slice_grid.shape) if phi is None
-                   else np.exp(emb.sample(phi)))
-        values = fol.weighted_H[k].values * density * fol.lapse[k].values
+        values = (fol.weighted_H[k].values * np.exp(emb.sample(phi))
+                  * fol.lapse[k].values)
         variation[k] = integrate(ScalarField(emb.slice_grid, values),
                                  emb.induced_metric)
     return AreaVariation(np.asarray(fol.times), areas, rate, variation,

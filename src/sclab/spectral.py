@@ -60,9 +60,6 @@ class SpectralProblem:
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
         return tree_sum(u.reshape(-1) * v.reshape(-1) * self.mass)
 
-    def norm(self, u: np.ndarray) -> float:
-        return float(np.sqrt(self.inner(u, u)))
-
     def shifted(self, constant: float) -> "SpectralProblem":
         """Same problem with the zeroth-order coefficient raised by a
         constant; the matrix shift is exact, so eigenvalues move by
@@ -380,9 +377,8 @@ def lapse_residual(fol: GraphFoliation) -> LapseCheck:
             f"{k} (t = {times[k]:.6g}), beyond stencil error "
             f"{expected[k]:.3e}: not a constant-mu foliation")
     mu_rate = np.gradient(mu, times, edge_order=2)
-    if phi is not None:
-        # every slice of a foliation shares one ambient bundle
-        amb_pot = potential_derivatives(fol.slices[0].ambient_bundle, phi)
+    # every slice of a foliation shares one ambient bundle
+    amb_pot = potential_derivatives(fol.slices[0].ambient_bundle, phi)
 
     residuals = []
     for k, emb in enumerate(fol.slices):
@@ -392,13 +388,10 @@ def lapse_residual(fol: GraphFoliation) -> LapseCheck:
         value = (-pot_f.laplacian.values
                  - emb.sample_nn(emb.ambient_bundle.ricci) * f.values
                  - second_fundamental_norm_sq(emb) * f.values)
-        if phi is not None:
-            phi_s = emb.sample(phi)
-            pot_phi = potential_derivatives(
-                sb, ScalarField(emb.slice_grid, phi_s))
-            drift = np.einsum("...ab,...a,...b->...", sb.inverse,
-                              pot_phi.gradient, pot_f.gradient,
-                              optimize=False)
-            value = value + emb.sample_nn(amb_pot.hessian) * f.values - drift
+        pot_phi = potential_derivatives(
+            sb, ScalarField(emb.slice_grid, emb.sample(phi)))
+        drift = np.einsum("...ab,...a,...b->...", sb.inverse,
+                          pot_phi.gradient, pot_f.gradient, optimize=False)
+        value = value + emb.sample_nn(amb_pot.hessian) * f.values - drift
         residuals.append(ScalarField(emb.slice_grid, value - mu_rate[k]))
     return LapseCheck(times, tuple(residuals), mu, mu_rate, spread)

@@ -21,12 +21,13 @@ import pytest
 
 from helpers import constant_metric, dense_principal_eigenvalue
 from sclab.charts import PERIODIC, ScalarField, make_chart, sample_field
-from sclab.curvature import curvature_bundle, f_functional, warped_residual
+from sclab.curvature import (curvature_bundle, f_functional,
+                             stabilized_scalar, warped_residual)
 from sclab.flow import (
-    FlowTrajectory,
     adjoint_supersolution_residual,
     cfl_bound,
     evolution_identity_residual,
+    flow_states,
     make_flow_state,
     monotonicity_report,
     profile_cfl_bound,
@@ -34,7 +35,6 @@ from sclab.flow import (
     profile_state,
     ricci_hessian_gap,
     round_profile,
-    run_flow,
     run_profile_flow,
 )
 from sclab.hypersurface import (
@@ -124,9 +124,10 @@ def test_01_flat_stationarity():
         phi = ScalarField(grid, np.full(grid.shape, 0.3))
         state = make_flow_state(0.0, metric, phi)
         assert np.abs(state.stabilized.values).max() <= 1e-12
-        assert abs(f_functional(metric, phi)) <= 1e-10
-        traj = run_flow(state, 1.0e-3, 10)
-        for a, b in zip(traj.states, traj.states[1:]):
+        assert abs(f_functional(metric, phi,
+                                stabilized_scalar(metric, phi))) <= 1e-10
+        states = tuple(flow_states(state, 1.0e-3, 10))
+        for a, b in zip(states, states[1:]):
             assert np.abs(b.metric.values - a.metric.values).max() <= 1e-12
             assert np.abs(b.phi.values - a.phi.values).max() <= 1e-12
 
@@ -243,7 +244,7 @@ def test_06_lapse_equation():
                 fol = make_graph_foliation(
                     metric, times,
                     [lambda a, b, t=t: np.full(a.shape, t) for t in times],
-                    graph_axis=2)
+                    ScalarField(grid, np.zeros(grid.shape)), graph_axis=2)
                 check = lapse_residual(fol)
                 mid = len(check.times) // 2
                 errs.append(float(np.abs(check.residuals[mid].values).max()))
@@ -255,8 +256,8 @@ def test_07_evolution_and_adjoint_identities():
     with criterion(7, "evolution and adjoint identities", budget=60.0):
         # the budgeted workload: 200 coupled steps on the 64^2 torus
         state = perturbed_torus_state(64)
-        traj = run_flow(state, 0.45 * cfl_bound(state), 200)
-        for s in traj.states[::50]:
+        states = tuple(flow_states(state, 0.45 * cfl_bound(state), 200))
+        for s in states[::50]:
             assert pointwise_forcing(s).min() >= 0.0
 
         # declared order in dt is one (forward Euler): Richardson
@@ -265,8 +266,10 @@ def test_07_evolution_and_adjoint_identities():
         for halvings in range(3):
             dt = 2.0e-3 / 2 ** halvings
             steps = 4 * 2 ** halvings
-            tr = run_flow(perturbed_torus_state(32), dt, steps)
-            fields.append(evolution_identity_residual(tr, steps // 2).values)
+            tr = tuple(flow_states(perturbed_torus_state(32), dt, steps))
+            mid = steps // 2
+            fields.append(evolution_identity_residual(*tr[mid - 1:mid + 2],
+                                                      dt))
         d1 = np.abs(fields[0] - fields[1]).max()
         d2 = np.abs(fields[1] - fields[2]).max()
         assert np.log2(d1 / d2) >= 0.9
@@ -288,7 +291,8 @@ def test_08_monotonicity_and_rigidity():
         grid, metric = flat_torus((16, 16))
         flat_state = make_flow_state(
             0.0, metric, ScalarField(grid, np.full(grid.shape, 0.25)))
-        flat_report = monotonicity_report(run_flow(flat_state, 1.0e-3, 10))
+        flat_report = monotonicity_report(
+            tuple(flow_states(flat_state, 1.0e-3, 10)))
         assert flat_report.monotone and flat_report.violations == ()
         assert flat_report.rigidity.all()
 
@@ -296,13 +300,12 @@ def test_08_monotonicity_and_rigidity():
         for axis in (0, 1):
             state = perturbed_torus_state(24, phi_axis=axis)
             curved_reports.append(monotonicity_report(
-                run_flow(state, 0.45 * cfl_bound(state), 200)))
+                tuple(flow_states(state, 0.45 * cfl_bound(state), 200))))
         p = round_profile(33)
         dt = 0.5 * profile_cfl_bound(p)
         profiles = run_profile_flow(p, dt, 220)
         states = tuple(profile_state(q, lon_res=8) for q in profiles[::20])
-        curved_reports.append(
-            monotonicity_report(FlowTrajectory(states, 20 * dt, 1)))
+        curved_reports.append(monotonicity_report(states))
         for report in curved_reports:
             assert report.monotone and report.violations == ()
             # the flag must fire exactly on the flat constant run above
@@ -343,6 +346,8 @@ def test_10_determinism(tmp_path):
              ("flow.csv", "state_000015.snap", "state_000030.snap")),
             ("certify", ["certify", "all", "res=64", "connectivity=8"],
              ("certificates.txt",)),
+            ("identity", ["identity", "torus", "res=16,32"],
+             ("identity.csv",)),
         ]
         blobs = {}
         for threads in ("1", "8"):

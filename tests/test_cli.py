@@ -442,6 +442,22 @@ class TestConfigFileForm:
         cfg.write_text("command=flow\ndt=1e-4\nsteps=5\n")
         assert main(["--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("text,where", [
+        ("command=certify\ngeometry=flat-torus\ncommand=curvature\n"
+         "res=16\n", "line 3, column 9: duplicate key 'command'"),
+        ("command=curvature\ngeometry=flat-torus\n"
+         "geometry=conformal-torus\nres=16\n",
+         "line 3, column 10: duplicate key 'geometry'")],
+        ids=["command", "geometry"])
+    def test_repeated_command_or_geometry_rejected(self, out_dir, capsys,
+                                                  text, where):
+        # the last repeat must not silently pick the run
+        cfg = out_dir / "twice.cfg"
+        cfg.write_text(text)
+        assert main(["--config", str(cfg)]) == 1
+        assert where in capsys.readouterr().err
+        assert os.listdir(out_dir) == ["twice.cfg"]
+
     def test_config_takes_one_path(self, out_dir):
         assert main(["--config"]) == 1
         assert main(["--config", "a", "b"]) == 1

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from sclab.charts import ScalarField, diff_array, read_snapshot
 from sclab.flow import (
-    FlowTrajectory,
     SphereProfile,
     adjoint_supersolution_residual,
     cfl_bound,
@@ -30,7 +29,6 @@ from sclab.flow import (
     profile_state,
     ricci_hessian_gap,
     round_profile,
-    run_flow,
     run_profile_flow,
     step_coupled_flow,
     step_profile_flow,
@@ -147,26 +145,24 @@ class TestStepping:
 
     def test_trajectory_shape(self):
         grid, metric = flat_torus((16, 16))
-        traj = run_flow(make_flow_state(0.0, metric, zero_phi(grid)),
-                        1.0e-3, 4, scheme="midpoint")
-        assert len(traj.states) == 5
-        assert traj.scheme_order == 2
-        times = [s.t for s in traj.states]
+        state = make_flow_state(0.0, metric, zero_phi(grid))
+        states = tuple(flow_states(state, 1.0e-3, 4, scheme="midpoint"))
+        assert len(states) == 5
+        times = [s.t for s in states]
         assert np.allclose(np.diff(times), 1.0e-3, rtol=0, atol=1e-15)
 
     def test_snapshots_round_trip(self, tmp_path):
         grid, metric, _ = conformal_torus((16, 16), amplitude=0.1)
         state = make_flow_state(0.0, metric, zero_phi(grid))
-        traj = run_flow(state, 1.0e-3, 6, snapshot_every=2,
-                        snapshot_dir=tmp_path)
+        states = tuple(flow_states(state, 1.0e-3, 6, snapshot_every=2,
+                                   snapshot_dir=tmp_path))
         names = sorted(os.listdir(tmp_path))
         assert names == ["state_000002.snap", "state_000004.snap",
                          "state_000006.snap"]
         _, fields = read_snapshot(tmp_path / "state_000004.snap")
         assert np.array_equal(fields["metric"].values,
-                              traj.states[4].metric.values)
-        assert np.array_equal(fields["phi"].values,
-                              traj.states[4].phi.values)
+                              states[4].metric.values)
+        assert np.array_equal(fields["phi"].values, states[4].phi.values)
 
 
 class TestProfileFlow:
@@ -227,18 +223,10 @@ class TestEvolutionIdentity:
 
     def test_flat_residual_zero(self):
         grid, metric = flat_torus((16, 16))
-        traj = run_flow(make_flow_state(0.0, metric, zero_phi(grid)),
-                        1.0e-3, 4)
-        res = evolution_identity_residual(traj, 2)
-        assert np.abs(res.values).max() <= 1e-10
-
-    def test_index_needs_both_neighbors(self):
-        grid, metric = flat_torus((16, 16))
-        traj = run_flow(make_flow_state(0.0, metric, zero_phi(grid)),
-                        1.0e-3, 3)
-        for bad in (0, 3):
-            with pytest.raises(ValueError, match="neighbors"):
-                evolution_identity_residual(traj, bad)
+        state = make_flow_state(0.0, metric, zero_phi(grid))
+        states = tuple(flow_states(state, 1.0e-3, 4))
+        res = evolution_identity_residual(*states[1:4], 1.0e-3)
+        assert np.abs(res).max() <= 1e-10
 
     def test_sphere_residual_h2(self):
         # both sides equal R^2 analytically; lifted states carry the
@@ -248,10 +236,9 @@ class TestEvolutionIdentity:
             dt = 1.0e-4
             profiles = run_profile_flow(round_profile(n), dt, 2)
             states = tuple(profile_state(q, lon_res=8) for q in profiles)
-            res = evolution_identity_residual(
-                FlowTrajectory(states, dt, 1), 1)
+            res = evolution_identity_residual(*states, dt)
             w = lat_window(states[0].metric.grid)
-            errs.append(np.abs(res.values[w]).max())
+            errs.append(np.abs(res[w]).max())
         assert errs[-1] <= 0.1
         assert refinement_order(errs) >= 1.5
 
@@ -260,9 +247,11 @@ class TestEvolutionIdentity:
         for halvings in range(3):
             dt = 2.0e-3 / 2 ** halvings
             steps = 4 * 2 ** halvings
-            traj = run_flow(perturbed_torus_state(32, phi_axis=1), dt, steps)
-            fields.append(evolution_identity_residual(traj,
-                                                      steps // 2).values)
+            states = tuple(flow_states(perturbed_torus_state(32, phi_axis=1),
+                                       dt, steps))
+            mid = steps // 2
+            fields.append(evolution_identity_residual(
+                *states[mid - 1:mid + 2], dt))
         d1 = np.abs(fields[0] - fields[1]).max()
         d2 = np.abs(fields[1] - fields[2]).max()
         assert np.log2(d1 / d2) >= 0.9
@@ -280,9 +269,8 @@ class TestMonotonicity:
 
     def test_flat_is_rigid(self):
         grid, metric = flat_torus((16, 16))
-        traj = run_flow(make_flow_state(0.0, metric, zero_phi(grid)),
-                        1.0e-3, 5)
-        rep = monotonicity_report(traj)
+        state = make_flow_state(0.0, metric, zero_phi(grid))
+        rep = monotonicity_report(tuple(flow_states(state, 1.0e-3, 5)))
         assert rep.monotone
         assert rep.rigidity.all()
         assert np.abs(rep.inf_s).max() <= 1e-12
@@ -292,25 +280,25 @@ class TestMonotonicity:
         dt = 0.5 * profile_cfl_bound(p)
         profiles = run_profile_flow(p, dt, 220)
         states = tuple(profile_state(q, lon_res=8) for q in profiles[::20])
-        rep = monotonicity_report(FlowTrajectory(states, 20 * dt, 1))
+        rep = monotonicity_report(states)
         assert rep.monotone
         assert (np.diff(rep.inf_s) > 0).all()
         assert not rep.rigidity.any()
 
     def test_perturbed_torus_200_steps(self):
         state = perturbed_torus_state(24, phi_axis=0)
-        traj = run_flow(state, 0.45 * cfl_bound(state), 200)
-        rep = monotonicity_report(traj)
+        rep = monotonicity_report(
+            tuple(flow_states(state, 0.45 * cfl_bound(state), 200)))
         assert rep.violations == ()
         assert rep.monotone
         assert len(rep.times) == 201
 
     def test_needs_two_states(self):
         grid, metric = flat_torus((16, 16))
-        traj = run_flow(make_flow_state(0.0, metric, zero_phi(grid)),
-                        1.0e-3, 1)
+        state = make_flow_state(0.0, metric, zero_phi(grid))
+        states = tuple(flow_states(state, 1.0e-3, 1))
         with pytest.raises(ValueError, match="two states"):
-            monotonicity_report(FlowTrajectory(traj.states[:1], 1.0e-3, 1))
+            monotonicity_report(states[:1])
 
 
 class TestAdjointResidual:
@@ -346,45 +334,19 @@ class TestSeries:
 
     def test_series_file_round_trips(self, tmp_path):
         state = perturbed_torus_state(16, phi_axis=1)
-        traj = run_flow(state, 1.0e-3, 4)
+        states = tuple(flow_states(state, 1.0e-3, 4))
         path = tmp_path / "series.csv"
-        write_trajectory_series(traj, path)
+        write_trajectory_series(states, path, 1.0e-3)
         lines = path.read_text().splitlines()
         assert lines[0] == "t,inf_S,F,max_ricci_hessian_gap," \
                            "identity_residual_maxnorm"
         assert len(lines) == 6
-        rep = monotonicity_report(traj)
+        rep = monotonicity_report(states)
         first = lines[1].split(",")
         assert first[-1] == "nan"
         assert float(first[1]) == rep.inf_s[0]
         assert float(first[2]) == rep.f_values[0]
         mid = lines[3].split(",")
-        expect = np.abs(evolution_identity_residual(traj, 2).values).max()
+        expect = np.abs(evolution_identity_residual(*states[1:4],
+                                                    1.0e-3)).max()
         assert float(mid[-1]) == expect
-
-    def test_stream_writes_the_trajectory_files(self, tmp_path):
-        # a generator of states and the kept trajectory give the same
-        # series and the same snapshots, byte for byte
-        state = perturbed_torus_state(16, phi_axis=1)
-        for name in ("stream", "kept"):
-            (tmp_path / name).mkdir()
-        write_trajectory_series(
-            flow_states(state, 1.0e-3, 6, snapshot_every=2,
-                        snapshot_dir=str(tmp_path / "stream")),
-            tmp_path / "stream" / "series.csv", dt=1.0e-3)
-        write_trajectory_series(
-            run_flow(state, 1.0e-3, 6, snapshot_every=2,
-                     snapshot_dir=str(tmp_path / "kept")),
-            tmp_path / "kept" / "series.csv")
-        names = sorted(p.name for p in (tmp_path / "kept").iterdir())
-        assert names == ["series.csv", "state_000002.snap",
-                         "state_000004.snap", "state_000006.snap"]
-        for name in names:
-            assert ((tmp_path / "stream" / name).read_bytes()
-                    == (tmp_path / "kept" / name).read_bytes())
-
-    def test_stream_needs_its_time_step(self, tmp_path):
-        state = perturbed_torus_state(16, phi_axis=1)
-        with pytest.raises(ValueError, match="time step"):
-            write_trajectory_series(flow_states(state, 1.0e-3, 2),
-                                    tmp_path / "series.csv")

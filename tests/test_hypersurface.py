@@ -152,7 +152,8 @@ class TestEmbedGraph:
                              + down.second_fundamental.values)) < 1e-12
         assert np.max(np.abs(up.mean_curvature.values
                              + down.mean_curvature.values)) < 1e-12
-        assert weighted_area(up) == weighted_area(down)
+        assert (weighted_area(up, zeros_on(grid))
+                == weighted_area(down, zeros_on(grid)))
 
 
 class TestWeightedMeanCurvature:
@@ -247,7 +248,8 @@ class TestWeightedArea:
         emb = embed_graph(metric, lambda th, ph: np.full_like(th, radius),
                           graph_axis=2)
         exact = 4 * np.pi * radius**2 * np.cos(BAND_PAD)
-        assert abs(weighted_area(emb) - exact) / exact < 1e-3
+        area = weighted_area(emb, zeros_on(grid))
+        assert abs(area - exact) / exact < 1e-3
 
     def test_flat_slice_weighted_area_is_exact(self):
         grid, metric = flat_box3((16, 16, 16))
@@ -264,7 +266,8 @@ class TestAreaVariation:
         grid, metric = flat_box3((16, 16, 16))
         times = grid.axis_coords(2)[3:10]
         heights = [lambda a, b, t=t: np.full_like(a, t) for t in times]
-        fol = make_graph_foliation(metric, times, heights, graph_axis=2)
+        fol = make_graph_foliation(metric, times, heights, zeros_on(grid),
+                                   graph_axis=2)
         var = weighted_area_variation(fol)
         assert np.max(np.abs(var.area_rate)) < 1e-9
         assert np.max(np.abs(var.variation)) < 1e-9
@@ -279,8 +282,8 @@ class TestAreaVariation:
             phi = sample_field(grid, lambda x1, x2, x3: 0.2 * np.sin(x3))
             times = grid.axis_coords(2)[3 * step:12 * step + 1]
             heights = [lambda a, b, t=t: np.full_like(a, t) for t in times]
-            fol = make_graph_foliation(metric, times, heights, graph_axis=2,
-                                       phi=phi)
+            fol = make_graph_foliation(metric, times, heights, phi,
+                                       graph_axis=2)
             var = weighted_area_variation(fol)
             gaps.append(np.max(np.abs(var.gap[1:-1])))
         assert min(observed_orders(gaps)) > 1.8
@@ -289,7 +292,8 @@ class TestAreaVariation:
         grid, metric = spherical_shell(33, 16, 17, 1.0, rel_width=0.3)
         times = grid.axis_coords(2)[4:13]
         heights = [lambda th, ph, t=t: np.full_like(th, t) for t in times]
-        fol = make_graph_foliation(metric, times, heights, graph_axis=2)
+        fol = make_graph_foliation(metric, times, heights, zeros_on(grid),
+                                   graph_axis=2)
         var = weighted_area_variation(fol)
         exact = 8 * np.pi * times * np.cos(BAND_PAD)
         rel = np.abs(var.area_rate[1:-1] - exact[1:-1]) / exact[1:-1]
@@ -303,14 +307,15 @@ class TestAreaVariation:
         mk = lambda t: (lambda a, b, tt=t: np.full_like(a, tt))
         with pytest.raises(ValueError, match="at least 3"):
             make_graph_foliation(metric, [0.0, 0.1], [mk(0.0), mk(0.1)],
-                                 graph_axis=2)
+                                 zeros_on(grid), graph_axis=2)
         with pytest.raises(ValueError, match="strictly increasing"):
             make_graph_foliation(metric, [0.0, 0.2, 0.1],
-                                 [mk(0.0), mk(0.2), mk(0.1)], graph_axis=2)
+                                 [mk(0.0), mk(0.2), mk(0.1)], zeros_on(grid),
+                                 graph_axis=2)
         with pytest.raises(ValueError, match="lapse"):
             make_graph_foliation(metric, [0.0, 0.1, 0.2],
-                                 [mk(0.0), mk(0.1), mk(0.2)], graph_axis=2,
-                                 orientation=-1)
+                                 [mk(0.0), mk(0.1), mk(0.2)], zeros_on(grid),
+                                 graph_axis=2, orientation=-1)
 
 
 class TestBoundaryTrace:

@@ -294,11 +294,16 @@ class TestPrincipalEigenpair:
             dense_principal_eigenvalue(prob)
 
 
+def zero_field(grid):
+    return ScalarField(grid, np.zeros(grid.shape))
+
+
 def radial_foliation(chart, res_pair, window):
     grid, metric = chart(*res_pair)
     times = grid.axis_coords(2)[window]
     heights = [lambda a, b, t=t: np.full(a.shape, t) for t in times]
-    return make_graph_foliation(metric, times, heights, graph_axis=2)
+    return make_graph_foliation(metric, times, heights, zero_field(grid),
+                                graph_axis=2)
 
 
 class TestLapseResidual:
@@ -308,7 +313,7 @@ class TestLapseResidual:
         fol = make_graph_foliation(
             metric, times,
             [lambda x, y, t=t: np.full(x.shape, t) for t in times],
-            graph_axis=2)
+            zero_field(grid), graph_axis=2)
         check = lapse_residual(fol)
         assert max(np.abs(r.values).max() for r in check.residuals) <= 1e-9
         assert np.abs(check.mu).max() <= 1e-9
@@ -340,7 +345,7 @@ class TestLapseResidual:
         fol = make_graph_foliation(
             metric, times,
             [lambda a, z, t=t: t + 0.2 * np.sin(a) for t in times],
-            graph_axis=2)
+            zero_field(grid), graph_axis=2)
         with pytest.raises(ValueError, match="not a constant"):
             lapse_residual(fol)
 
