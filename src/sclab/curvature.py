@@ -36,12 +36,26 @@ class CurvatureBundle:
     scalar: ScalarField
 
 
+def _leading_minor(g: np.ndarray, k: int) -> np.ndarray:
+    """Determinant of the leading k x k block (k <= 3) in closed form."""
+    if k == 1:
+        return g[..., 0, 0]
+    if k == 2:
+        return g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    return (g[..., 0, 0] * (g[..., 1, 1] * g[..., 2, 2]
+                            - g[..., 1, 2] * g[..., 2, 1])
+            - g[..., 0, 1] * (g[..., 1, 0] * g[..., 2, 2]
+                              - g[..., 1, 2] * g[..., 2, 0])
+            + g[..., 0, 2] * (g[..., 1, 0] * g[..., 2, 1]
+                              - g[..., 1, 1] * g[..., 2, 0]))
+
+
 def check_positive_definite(metric: TensorField) -> None:
     """Leading-principal-minor test at every node; abort on failure."""
     d = metric.grid.dim
     g = metric.values
     for k in range(1, d + 1):
-        minors = np.linalg.det(g[..., :k, :k]) if k > 1 else g[..., 0, 0]
+        minors = _leading_minor(g, k)
         bad = minors <= 0.0
         if bad.any():
             node = node_tuple(np.argmax(bad), metric.grid.shape)
@@ -59,6 +73,12 @@ def curvature_bundle(metric: TensorField) -> CurvatureBundle:
     such as lat-long polar collars the Christoffels blow up while the
     lowered products stay tame, and this form keeps the error bounded
     there instead of amplifying it by inverse metric factors.
+
+    No dense d^4 array is built: second derivatives are kept per
+    unordered axis pair and Riemann per independent i < k, l < m block.
+    Ric_km = g^{il} R_iklm is summed over i, then l, from zero, the
+    order a generic einsum over the dense Riemann array uses, so the
+    result matches that contraction bit for bit; keep the order.
     """
     grid = metric.grid
     d = grid.dim
@@ -71,17 +91,18 @@ def curvature_bundle(metric: TensorField) -> CurvatureBundle:
 
     # dg[..., i, j, a] = d_a g_{ij}
     dg = np.stack([diff_array(g, grid, a, 1) for a in range(d)], axis=-1)
-    # d2g[..., i, j, k, l] = d_k d_l g_{ij}
-    d2g = np.zeros(grid.shape + (d, d, d, d))
+    # d2g[k, l][..., i, j] = d_k d_l g_{ij} for k <= l
+    d2g = {}
     for k in range(d):
         for l in range(k, d):
             if k == l:
-                v = diff_array(g, grid, k, 2)
+                d2g[k, l] = diff_array(g, grid, k, 2)
             else:
-                v = diff_array(diff_array(g, grid, k, 1), grid, l, 1)
-            d2g[..., k, l] = v
-            if l > k:
-                d2g[..., l, k] = v
+                d2g[k, l] = diff_array(diff_array(g, grid, k, 1), grid, l, 1)
+
+    def second(i, j, k, l):
+        """d_k d_l g_{ij}"""
+        return d2g[min(k, l), max(k, l)][..., i, j]
 
     gamma = np.zeros(grid.shape + (d, d, d))
     for k in range(d):
@@ -96,27 +117,41 @@ def curvature_bundle(metric: TensorField) -> CurvatureBundle:
                 if j > i:
                     gamma[..., k, j, i] = gamma[..., k, i, j]
 
-    # R_{iklm}, antisymmetric in (i, k) and in (l, m); only the i < k,
-    # l < m blocks are assembled and the rest is filled in by sign.
-    riemann = np.zeros(grid.shape + (d, d, d, d))
+    # R_{iklm}, antisymmetric in (i, k) and in (l, m): only the i < k,
+    # l < m blocks are assembled; the others follow by sign.
+    riemann = {}
     for i in range(d):
         for k in range(i + 1, d):
             for l in range(d):
                 for m in range(l + 1, d):
-                    comp = 0.5 * (d2g[..., i, m, k, l] + d2g[..., k, l, i, m]
-                                  - d2g[..., i, l, k, m]
-                                  - d2g[..., k, m, i, l])
+                    comp = 0.5 * (second(i, m, k, l) + second(k, l, i, m)
+                                  - second(i, l, k, m)
+                                  - second(k, m, i, l))
                     for n in range(d):
                         for p in range(d):
                             comp += g[..., n, p] * (
                                 gamma[..., n, k, l] * gamma[..., p, i, m]
                                 - gamma[..., n, k, m] * gamma[..., p, i, l])
-                    riemann[..., i, k, l, m] = comp
-                    riemann[..., k, i, l, m] = -comp
-                    riemann[..., i, k, m, l] = -comp
-                    riemann[..., k, i, m, l] = comp
+                    riemann[i, k, l, m] = comp
 
-    ric = np.einsum("...il,...iklm->...km", inv, riemann, optimize=False)
+    ric = np.zeros(grid.shape + (d, d))
+    for k in range(d):
+        for m in range(d):
+            acc = np.zeros(grid.shape)
+            for i in range(d):
+                for l in range(d):
+                    # R_{iklm} vanishes for i == k or l == m; adding the
+                    # zero product to an accumulator that starts at +0
+                    # changes no bit
+                    if i == k or l == m:
+                        continue
+                    block = riemann[min(i, k), max(i, k), min(l, m),
+                                    max(l, m)]
+                    if (i < k) == (l < m):
+                        acc += inv[..., i, l] * block
+                    else:
+                        acc -= inv[..., i, l] * block
+            ric[..., k, m] = acc
     ric = 0.5 * (ric + np.swapaxes(ric, -1, -2))
 
     scal = np.einsum("...ij,...ij->...", inv, ric, optimize=False)

@@ -105,6 +105,11 @@ def flow_states(state: FlowState, dt: float, steps: int,
     every snapshot_every-th one; only the latest state is held here."""
     if steps < 1:
         raise ValueError("need at least one step")
+    if snapshot_every < 0:
+        raise ValueError(f"snapshot_every must be >= 0, got "
+                         f"{snapshot_every}")
+    if snapshot_every and snapshot_dir is None:
+        raise ValueError("snapshot_every > 0 needs a snapshot_dir")
     yield state
     for k in range(steps):
         state = step_coupled_flow(state, dt, scheme)
@@ -117,9 +122,21 @@ def flow_states(state: FlowState, dt: float, steps: int,
 
 
 def _tensor_norm_sq(inverse: np.ndarray, tensor: np.ndarray) -> np.ndarray:
-    """|T|^2 = g^{ia} g^{jb} T_ij T_ab for a symmetric 2-tensor."""
-    return np.einsum("...ia,...jb,...ij,...ab->...", inverse, inverse,
-                     tensor, tensor, optimize=False)
+    """|T|^2 = g^{ia} g^{jb} T_ij T_ab for a symmetric 2-tensor.
+
+    Summed over i, a, j, b (outer to inner) from zero, each term
+    multiplied left to right: the order of the generic four-operand
+    einsum, so the sum matches it bit for bit; keep the order.
+    """
+    d = tensor.shape[-1]
+    acc = np.zeros(tensor.shape[:-2])
+    for i in range(d):
+        for a in range(d):
+            for j in range(d):
+                for b in range(d):
+                    acc += (inverse[..., i, a] * inverse[..., j, b]
+                            * tensor[..., i, j] * tensor[..., a, b])
+    return acc
 
 
 def ricci_hessian_gap(state: FlowState) -> np.ndarray:

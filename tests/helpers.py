@@ -4,14 +4,28 @@ The package itself never needs these; they build inputs and
 independent answers for the suites.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 
+import sclab
 from sclab.charts import ChartGrid, ScalarField, TensorField, diff_array, \
     node_tuple
 
 DENSE_ORACLE_CAP = 1024
+
+
+def cli_env(**variables) -> dict:
+    """Environment for a `python -m sclab.cli` child: this process's, plus
+    the given variables, with the imported sclab first on PYTHONPATH."""
+    source = str(Path(sclab.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, **variables)
+    env["PYTHONPATH"] = source + (os.pathsep + path if path else "")
+    return env
 
 
 def constant_metric(grid: ChartGrid, matrix) -> TensorField:
@@ -73,3 +87,73 @@ def cycle_length(graph, cycle) -> tuple[float, int]:
         total += ell
         wind += w
     return total, wind
+
+
+def dense_ricci_scalar(metric: TensorField) -> tuple:
+    """(Ric, R) through a dense Riemann array and a generic einsum.
+
+    The reference for curvature_bundle, which assembles the same
+    components blockwise and contracts them in component loops: both
+    must agree bit for bit.
+    """
+    grid = metric.grid
+    d = grid.dim
+    g = metric.values
+    inv = np.linalg.inv(g)
+    dg = np.stack([diff_array(g, grid, a, 1) for a in range(d)], axis=-1)
+    d2g = np.zeros(grid.shape + (d, d, d, d))
+    for k in range(d):
+        for l in range(k, d):
+            if k == l:
+                v = diff_array(g, grid, k, 2)
+            else:
+                v = diff_array(diff_array(g, grid, k, 1), grid, l, 1)
+            d2g[..., k, l] = v
+            d2g[..., l, k] = v
+    gamma = np.zeros(grid.shape + (d, d, d))
+    for k in range(d):
+        for i in range(d):
+            for j in range(i, d):
+                acc = np.zeros(grid.shape)
+                for l in range(d):
+                    acc += inv[..., k, l] * (dg[..., l, j, i]
+                                             + dg[..., i, l, j]
+                                             - dg[..., i, j, l])
+                gamma[..., k, i, j] = 0.5 * acc
+                gamma[..., k, j, i] = gamma[..., k, i, j]
+    riemann = np.zeros(grid.shape + (d, d, d, d))
+    for i in range(d):
+        for k in range(i + 1, d):
+            for l in range(d):
+                for m in range(l + 1, d):
+                    comp = 0.5 * (d2g[..., i, m, k, l] + d2g[..., k, l, i, m]
+                                  - d2g[..., i, l, k, m]
+                                  - d2g[..., k, m, i, l])
+                    for n in range(d):
+                        for p in range(d):
+                            comp += g[..., n, p] * (
+                                gamma[..., n, k, l] * gamma[..., p, i, m]
+                                - gamma[..., n, k, m] * gamma[..., p, i, l])
+                    riemann[..., i, k, l, m] = comp
+                    riemann[..., k, i, l, m] = -comp
+                    riemann[..., i, k, m, l] = -comp
+                    riemann[..., k, i, m, l] = comp
+    ric = np.einsum("...il,...iklm->...km", inv, riemann, optimize=False)
+    ric = 0.5 * (ric + np.swapaxes(ric, -1, -2))
+    scal = np.einsum("...ij,...ij->...", inv, ric, optimize=False)
+    return ric, scal
+
+
+def dense_tensor_norm_sq(inverse: np.ndarray, tensor: np.ndarray):
+    """g^{ia} g^{jb} T_ij T_ab as one generic four-operand einsum."""
+    return np.einsum("...ia,...jb,...ij,...ab->...", inverse, inverse,
+                     tensor, tensor, optimize=False)
+
+
+def random_spd_metric(grid: ChartGrid, seed: int) -> TensorField:
+    """Symmetric positive-definite metric of independent random nodes."""
+    rng = np.random.default_rng(seed)
+    d = grid.dim
+    a = rng.standard_normal(grid.shape + (d, d))
+    vals = a @ np.swapaxes(a, -1, -2) + d * np.eye(d)
+    return TensorField(grid, 2, 0.5 * (vals + np.swapaxes(vals, -1, -2)))

@@ -10,7 +10,6 @@ comparison across process reruns and thread counts decides determinism.
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -19,7 +18,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import constant_metric, dense_principal_eigenvalue
+from helpers import cli_env, constant_metric, dense_principal_eigenvalue
 from sclab.charts import PERIODIC, ScalarField, make_chart, sample_field
 from sclab.curvature import (curvature_bundle, f_functional,
                              stabilized_scalar, warped_residual)
@@ -355,10 +354,10 @@ def test_10_determinism(tmp_path):
                 for name, argv, files in jobs:
                     outdir = tmp_path / f"run-{threads}-{rerun}" / name
                     outdir.mkdir(parents=True)
-                    env = dict(os.environ, SCL_OUTPUT_DIR=str(outdir),
-                               OMP_NUM_THREADS=threads,
-                               OPENBLAS_NUM_THREADS=threads,
-                               MKL_NUM_THREADS=threads)
+                    env = cli_env(SCL_OUTPUT_DIR=str(outdir),
+                                  OMP_NUM_THREADS=threads,
+                                  OPENBLAS_NUM_THREADS=threads,
+                                  MKL_NUM_THREADS=threads)
                     proc = subprocess.run(
                         [sys.executable, "-m", "sclab.cli", *argv],
                         env=env, capture_output=True, text=True)

@@ -21,6 +21,7 @@ import weakref
 import numpy as np
 import pytest
 
+from helpers import cli_env
 from sclab.cli import (
     ConfigError,
     ExperimentConfig,
@@ -345,7 +346,7 @@ class TestIdentityCommand:
         proc = subprocess.run(
             [sys.executable, "-m", "sclab.cli", "identity", "torus",
              "phi=1/(1-1)", "res=16,32"],
-            env=dict(os.environ, SCL_OUTPUT_DIR=str(out_dir)),
+            env=cli_env(SCL_OUTPUT_DIR=str(out_dir)),
             capture_output=True, text=True)
         assert proc.returncode == 1
         assert "error: non-finite field value at node (0, 0)" in proc.stderr

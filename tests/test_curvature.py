@@ -6,11 +6,14 @@ Pointwise sphere checks are restricted to a fixed angular window so the
 measured error sits at the same latitude on every resolution.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import dense_ricci_scalar, random_spd_metric
 from sclab.charts import (
     PERIODIC,
     ScalarField,
@@ -21,13 +24,15 @@ from sclab.charts import (
     sample_field,
 )
 from sclab.curvature import (
+    check_positive_definite,
     curvature_bundle,
     f_functional,
     potential_derivatives,
     stabilized_scalar,
     warped_residual,
 )
-from sclab.models import conformal_torus, flat_torus, sphere_band, sphere_full
+from sclab.models import (conformal_torus, flat_torus, sphere_band,
+                          sphere_full, spherical_shell)
 
 BAND_PAD = np.pi / 8
 
@@ -116,6 +121,64 @@ class TestCurvatureBundle:
         values[3, 4, 1, 1] = -1.0
         with pytest.raises(ValueError, match=r"\(3, 4\)"):
             curvature_bundle(TensorField(grid, 2, values))
+
+    @pytest.mark.parametrize("matrix, order", [
+        ([[1.0, 2.0], [2.0, 1.0]], 2),
+        ([[1.0, 0.0, 0.9], [0.0, 1.0, 0.9], [0.9, 0.9, 1.0]], 3),
+    ])
+    def test_negative_leading_minor_names_node_and_order(self, matrix, order):
+        # positive diagonal, positive lower minors, one bad node
+        d = order
+        grid = make_chart(d, (8,) * d, (1.0,) * d, (PERIODIC,) * d)
+        values = np.broadcast_to(np.eye(d), grid.shape + (d, d)).copy()
+        node = (3, 5, 1)[:d]
+        values[node] = matrix
+        with pytest.raises(ValueError) as info:
+            check_positive_definite(TensorField(grid, 2, values))
+        assert f"at node {node}" in str(info.value)
+        assert f"order-{order} leading minor" in str(info.value)
+
+
+class TestDenseReference:
+    """curvature_bundle agrees bit for bit with the dense Riemann path."""
+
+    @pytest.mark.parametrize("resolution", [(64, 64), (33, 65)])
+    def test_random_2d_metric(self, resolution):
+        grid = make_chart(2, resolution, (2 * np.pi, 2 * np.pi),
+                          (PERIODIC, PERIODIC))
+        self._check(random_spd_metric(grid, seed=sum(resolution)))
+
+    @pytest.mark.parametrize("randomize", [False, True])
+    def test_spherical_shell(self, randomize):
+        grid, metric = spherical_shell(9, 12, 9, rel_width=0.3)
+        if randomize:
+            metric = random_spd_metric(grid, seed=3)
+        self._check(metric)
+
+    def test_flat_torus(self):
+        # exact zeros: their sign bits must match too
+        self._check(flat_torus((8, 8))[1])
+
+    @staticmethod
+    def _check(metric):
+        bundle = curvature_bundle(metric)
+        ric, scal = dense_ricci_scalar(metric)
+        for got, want in ((bundle.ricci.values, ric),
+                          (bundle.scalar.values, scal)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_bundle_peak_memory_per_node():
+    """No d^4 array: the bundle's peak stays under 200 doubles a node."""
+    grid, metric = spherical_shell(21, 40, 21, rel_width=0.3)
+    tracemalloc.start()
+    try:
+        curvature_bundle(metric)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 8 / grid.node_count < 200
 
 
 class TestPotentialDerivatives:

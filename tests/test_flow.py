@@ -14,7 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sclab.charts import ScalarField, diff_array, read_snapshot
+from helpers import dense_tensor_norm_sq, random_spd_metric
+from sclab import flow
+from sclab.charts import (PERIODIC, ScalarField, diff_array, make_chart,
+                          read_snapshot)
 from sclab.flow import (
     SphereProfile,
     adjoint_supersolution_residual,
@@ -34,7 +37,8 @@ from sclab.flow import (
     step_profile_flow,
     write_trajectory_series,
 )
-from sclab.models import conformal_torus, flat_torus, sphere_band
+from sclab.models import (conformal_torus, flat_torus, sphere_band,
+                          spherical_shell)
 
 
 def zero_phi(grid):
@@ -164,6 +168,22 @@ class TestStepping:
                               states[4].metric.values)
         assert np.array_equal(fields["phi"].values, states[4].phi.values)
 
+    def test_snapshots_need_a_directory(self):
+        grid, metric = flat_torus((8, 8))
+        state = make_flow_state(0.0, metric, zero_phi(grid))
+        stream = flow_states(state, 1.0e-3, 4, snapshot_every=2)
+        with pytest.raises(ValueError, match="snapshot_dir"):
+            next(stream)
+
+    def test_negative_snapshot_interval_rejected(self, tmp_path):
+        grid, metric = flat_torus((8, 8))
+        state = make_flow_state(0.0, metric, zero_phi(grid))
+        stream = flow_states(state, 1.0e-3, 4, snapshot_every=-1,
+                             snapshot_dir=tmp_path)
+        with pytest.raises(ValueError, match="snapshot_every"):
+            next(stream)
+        assert os.listdir(tmp_path) == []
+
 
 class TestProfileFlow:
 
@@ -263,6 +283,27 @@ class TestEvolutionIdentity:
         forcing = 2.0 * np.einsum("...ia,...jb,...ij,...ab->...",
                                   inv, inv, gap, gap, optimize=False)
         assert forcing.min() >= 0.0
+
+
+class TestTensorNorm:
+    """The forcing norm agrees bit for bit with the generic einsum."""
+
+    @pytest.mark.parametrize("resolution", [(64, 64), (33, 65)])
+    def test_random_2d(self, resolution):
+        grid = make_chart(2, resolution, (2 * np.pi, 2 * np.pi),
+                          (PERIODIC, PERIODIC))
+        self._check(grid, seed=sum(resolution))
+
+    def test_3d_shell(self):
+        grid, _ = spherical_shell(9, 12, 9, rel_width=0.3)
+        self._check(grid, seed=5)
+
+    @staticmethod
+    def _check(grid, seed):
+        inverse = np.linalg.inv(random_spd_metric(grid, seed).values)
+        tensor = random_spd_metric(grid, seed + 1).values - 2.0
+        assert np.array_equal(flow._tensor_norm_sq(inverse, tensor),
+                              dense_tensor_norm_sq(inverse, tensor))
 
 
 class TestMonotonicity:
