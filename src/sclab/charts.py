@@ -240,6 +240,21 @@ def diff_array(values: np.ndarray, grid: ChartGrid, axis: int,
     return out
 
 
+def gradient(values: np.ndarray, grid: ChartGrid) -> np.ndarray:
+    """First derivatives along every grid axis, stacked as a last axis."""
+    return np.stack([diff_array(values, grid, a, 1) for a in range(grid.dim)],
+                    axis=-1)
+
+
+def second_derivative(values: np.ndarray, grid: ChartGrid, i: int,
+                      j: int) -> np.ndarray:
+    """d_i d_j of nodal values: the order-2 stencil on the diagonal,
+    nested first differences (along i, then j) off it."""
+    if i == j:
+        return diff_array(values, grid, i, 2)
+    return diff_array(diff_array(values, grid, i, 1), grid, j, 1)
+
+
 def tree_sum(values: np.ndarray) -> float:
     """Pairwise reduction in fixed node order; bit-reproducible."""
     flat = np.ascontiguousarray(values, dtype=float).reshape(-1)

@@ -203,9 +203,17 @@ def _validate(command, geometry, values, provided):
     for key in ("r", "r0", "fiber"):
         if values.get(key) is not None and not values[key] > 0.0:
             raise ConfigError(f"{key} must be positive")
-    if values.get("lengths") is not None \
-            and any(not l > 0.0 for l in values["lengths"]):
+    lengths = values.get("lengths", ())
+    if any(not l > 0.0 for l in lengths):
         raise ConfigError("lengths must be positive")
+    if len(lengths) > 3:
+        raise ConfigError(f"lengths takes 1 to 3 entries, got {len(lengths)}")
+    if values.get("seed", 0) < 0:
+        raise ConfigError("seed must be nonnegative")
+    if geometry == "anisotropic-torus" \
+            and not -1.0 < values["amplitude"] < 1.0:
+        raise ConfigError("amplitude must lie in (-1, 1) to keep the "
+                          "metric positive definite")
     if values.get("snapshot_every", 0) < 0:
         raise ConfigError("snapshot_every must be nonnegative")
 
@@ -410,9 +418,6 @@ def _run_systole(config) -> int:
                                     connectivity=conn)
     else:
         amp = config.options["amplitude"]
-        if not -1.0 < amp < 1.0:
-            raise ConfigError("amplitude must lie in (-1, 1) to keep the "
-                              "metric positive definite")
         grid, _ = flat_torus(res, (TWO_PI, TWO_PI))
         graph = build_winding_graph(grid, _aniso_metric_fn(amp), xi_axis=0,
                                     connectivity=conn)

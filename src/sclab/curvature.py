@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import (PERIODIC, ChartGrid, ScalarField, TensorField,
-                     diff_array, integrate, make_chart, node_tuple)
+                     gradient, integrate, make_chart, node_tuple,
+                     second_derivative)
 
 
 @dataclass(frozen=True)
@@ -90,15 +91,10 @@ def curvature_bundle(metric: TensorField) -> CurvatureBundle:
     inv = np.linalg.inv(g)
 
     # dg[..., i, j, a] = d_a g_{ij}
-    dg = np.stack([diff_array(g, grid, a, 1) for a in range(d)], axis=-1)
+    dg = gradient(g, grid)
     # d2g[k, l][..., i, j] = d_k d_l g_{ij} for k <= l
-    d2g = {}
-    for k in range(d):
-        for l in range(k, d):
-            if k == l:
-                d2g[k, l] = diff_array(g, grid, k, 2)
-            else:
-                d2g[k, l] = diff_array(diff_array(g, grid, k, 1), grid, l, 1)
+    d2g = {(k, l): second_derivative(g, grid, k, l)
+           for k in range(d) for l in range(k, d)}
 
     def second(i, j, k, l):
         """d_k d_l g_{ij}"""
@@ -178,21 +174,16 @@ def potential_derivatives(bundle: CurvatureBundle,
     if phi.grid != grid:
         raise ValueError("potential lives on a different grid")
     p = phi.values
-    dphi = np.stack([diff_array(p, grid, a, 1) for a in range(d)], axis=-1)
+    dphi = gradient(p, grid)
 
     hess = np.zeros(grid.shape + (d, d))
     for i in range(d):
         for j in range(i, d):
-            if i == j:
-                second = diff_array(p, grid, i, 2)
-            else:
-                second = diff_array(diff_array(p, grid, i, 1), grid, j, 1)
             corr = np.zeros(grid.shape)
             for k in range(d):
                 corr += bundle.christoffel[..., k, i, j] * dphi[..., k]
-            hess[..., i, j] = second - corr
-            if j > i:
-                hess[..., j, i] = hess[..., i, j]
+            hess[..., i, j] = hess[..., j, i] = (
+                second_derivative(p, grid, i, j) - corr)
 
     inv = bundle.inverse
     grad_sq = np.einsum("...ab,...a,...b->...", inv, dphi, dphi,
@@ -235,10 +226,11 @@ class WarpedResidual:
 
 
 FIBER_SPREAD_TOL = 1e-10
+FIBER_RES = 8   # nodes along each fiber axis of the product chart
 
 
-def warped_residual(metric: TensorField, phi: ScalarField, fiber_count: int,
-                    fiber_res: int = 8) -> WarpedResidual:
+def warped_residual(metric: TensorField, phi: ScalarField,
+                    fiber_count: int) -> WarpedResidual:
     """Scalar-curvature defect of the torus-fiber warped product.
 
     Builds g + e^{2 phi / N} (flat N-torus) on a product chart, takes its
@@ -258,14 +250,14 @@ def warped_residual(metric: TensorField, phi: ScalarField, fiber_count: int,
 
     prod = make_chart(
         base.dim + fiber_count,
-        base.resolution + (fiber_res,) * fiber_count,
+        base.resolution + (FIBER_RES,) * fiber_count,
         base.extent + (2.0 * np.pi,) * fiber_count,
         base.topology + (PERIODIC,) * fiber_count,
         origin=base.origin + (0.0,) * fiber_count)
 
     d = base.dim
     dp = prod.dim
-    fiber_shape = (fiber_res,) * fiber_count
+    fiber_shape = (FIBER_RES,) * fiber_count
     warp = np.exp(2.0 * phi.values / fiber_count)
     vals = np.zeros(prod.shape + (dp, dp))
     for i in range(d):

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import (ScalarField, TensorField, diff_array, make_chart,
-                     write_snapshot)
+from .charts import ScalarField, TensorField, make_chart, write_snapshot
 from .curvature import (
     CurvatureBundle,
     PotentialDerivatives,
@@ -228,10 +227,6 @@ def adjoint_supersolution_residual(state: FlowState) -> ScalarField:
     r = bundle.scalar.values
     pot = state.potential
 
-    def grad(values):
-        return np.stack([diff_array(values, grid, a, 1)
-                         for a in range(grid.dim)], axis=-1)
-
     def pair(da, db):
         return np.einsum("...ij,...i,...j->...", inv, da, db,
                          optimize=False)
@@ -255,7 +250,7 @@ def adjoint_supersolution_residual(state: FlowState) -> ScalarField:
     # motion, with the backward slope substituted for phi_dot
     s_dot = (-2.0 * (phi_dot_pot.laplacian.values + 2.0 * ric_hess)
              - (2.0 * ric_grad_grad
-                + 2.0 * pair(grad(phi_dot), pot.gradient))
+                + 2.0 * pair(phi_dot_pot.gradient, pot.gradient))
              + lap_r + 2.0 * ric_norm_sq)
 
     s = state.stabilized.values

@@ -20,12 +20,14 @@ from .charts import (
     ChartGrid,
     ScalarField,
     TensorField,
-    diff_array,
+    gradient,
     integrate,
     sample_field,
+    second_derivative,
 )
 from .curvature import (
     CurvatureBundle,
+    PotentialDerivatives,
     check_positive_definite,
     curvature_bundle,
     potential_derivatives,
@@ -157,17 +159,12 @@ def embed_graph(metric: TensorField, height, graph_axis: int | None = None,
     w = height.values
     sampler = _make_sampler(grid, graph_axis, w)
 
-    dw = np.stack([diff_array(w, slice_grid, a, 1) for a in range(ds)],
-                  axis=-1)
+    dw = gradient(w, slice_grid)
     d2w = np.zeros(slice_grid.shape + (ds, ds))
     for a in range(ds):
         for b in range(a, ds):
-            if a == b:
-                d2w[..., a, a] = diff_array(w, slice_grid, a, 2)
-            else:
-                mixed = diff_array(dw[..., a], slice_grid, b, 1)
-                d2w[..., a, b] = mixed
-                d2w[..., b, a] = mixed
+            d2w[..., a, b] = d2w[..., b, a] = second_derivative(
+                w, slice_grid, a, b)
 
     frame = np.zeros(slice_grid.shape + (d, ds))
     for a, amb in enumerate(kept):
@@ -224,9 +221,7 @@ def embed_graph(metric: TensorField, height, graph_axis: int | None = None,
         if slice_grid.topology[a] != BOUNDARY:
             continue
         for side, row, sign in ((0, 0, -1.0), (1, -1, 1.0)):
-            face = [slice(None)] * ds
-            face[a] = row
-            inv_face = induced_inv[tuple(face)]
+            inv_face = np.take(induced_inv, row, axis=a)
             eta = sign * inv_face[..., :, a] / np.sqrt(inv_face[..., a, a])[..., None]
             boundary_normal[(a, side)] = eta
 
@@ -237,14 +232,13 @@ def embed_graph(metric: TensorField, height, graph_axis: int | None = None,
 
 
 def weighted_mean_curvature(emb: HypersurfaceEmbedding,
-                            phi: ScalarField) -> ScalarField:
-    """H + <grad phi, nu> at each graph node."""
-    if phi.grid != emb.ambient_grid:
+                            potential: PotentialDerivatives) -> ScalarField:
+    """H + <grad phi, nu> at each graph node, with grad phi read off the
+    log-density's ambient `potential_derivatives`."""
+    if potential.grid != emb.ambient_grid:
         raise ValueError("log-density lives on a different ambient grid")
-    dphi = np.stack([diff_array(phi.values, emb.ambient_grid, i, 1)
-                     for i in range(emb.ambient_grid.dim)], axis=-1)
-    normal_part = np.einsum("...i,...i->...", emb.sample(dphi), emb.normal,
-                            optimize=False)
+    normal_part = np.einsum("...i,...i->...", emb.sample(potential.gradient),
+                            emb.normal, optimize=False)
     return ScalarField(emb.slice_grid,
                        emb.mean_curvature.values + normal_part)
 
@@ -289,9 +283,7 @@ def gauss_identity_sides(emb: HypersurfaceEmbedding, rho: ScalarField,
     p_logu = potential_derivatives(sb, ScalarField(emb.slice_grid, log_u))
     p_logrho = potential_derivatives(sb, ScalarField(emb.slice_grid, log_rho_s))
 
-    weighted_h = emb.mean_curvature.values + np.einsum(
-        "...i,...i->...", emb.sample(amb_pot.gradient), emb.normal,
-        optimize=False)
+    weighted_h = weighted_mean_curvature(emb, amb_pot).values
     h_sq = second_fundamental_norm_sq(emb)
 
     lhs = (-2.0 * p_v.laplacian.values
@@ -340,7 +332,9 @@ class GraphFoliation:
     lapse is the normal speed <nu, d/dt graph>, required positive.
     weighted_H is H + <grad phi, nu> per slice, for the log-density phi
     the foliation was built with; an unweighted foliation carries the
-    zero field, which gives weighted_H = H.
+    zero field, which gives weighted_H = H.  potential holds phi's
+    ambient derivatives on the slices' shared ambient bundle, computed
+    once with the foliation; every leaf-level check reads them here.
     """
 
     times: tuple
@@ -348,6 +342,7 @@ class GraphFoliation:
     lapse: tuple
     weighted_H: tuple
     log_density: ScalarField
+    potential: PotentialDerivatives
 
 
 def make_graph_foliation(metric: TensorField, times, heights,
@@ -362,6 +357,7 @@ def make_graph_foliation(metric: TensorField, times, heights,
         raise ValueError("slice parameters must be strictly increasing")
 
     bundle = curvature_bundle(metric)
+    potential = potential_derivatives(bundle, phi)
     slices = [embed_graph(metric, h, graph_axis, orientation, bundle=bundle)
               for h in heights]
 
@@ -377,9 +373,9 @@ def make_graph_foliation(metric: TensorField, times, heights,
                              f"(t = {times[k]:.6g}); flip the orientation "
                              "or reorder the slices")
         lapse.append(ScalarField(emb.slice_grid, f))
-        weighted.append(weighted_mean_curvature(emb, phi))
+        weighted.append(weighted_mean_curvature(emb, potential))
     return GraphFoliation(tuple(times), tuple(slices), tuple(lapse),
-                          tuple(weighted), phi)
+                          tuple(weighted), phi, potential)
 
 
 @dataclass(frozen=True)
@@ -413,6 +409,16 @@ def weighted_area_variation(fol: GraphFoliation) -> AreaVariation:
                          rate - variation)
 
 
+def _face_graph(metric: TensorField, bundle: CurvatureBundle, axis: int,
+                side: int) -> HypersurfaceEmbedding:
+    """Constant graph through the first (side 0) or last (side 1) node
+    row of one axis of the metric's chart, normal pointing out of it."""
+    coord = metric.grid.axis_coords(axis)[-1 if side else 0]
+    return embed_graph(metric, lambda *ys: np.full(ys[0].shape, coord),
+                       graph_axis=axis, orientation=1 if side else -1,
+                       bundle=bundle)
+
+
 def chart_wall(emb: HypersurfaceEmbedding, axis: int,
                side: int) -> tuple[HypersurfaceEmbedding, GraphSampler]:
     """The chart wall through one boundary face of the slice grid.
@@ -424,14 +430,10 @@ def chart_wall(emb: HypersurfaceEmbedding, axis: int,
     """
     kept = [a for a in range(emb.ambient_grid.dim) if a != emb.graph_axis]
     amb_axis = kept[axis]
-    row = -1 if side else 0
-    wall_coord = emb.ambient_grid.axis_coords(amb_axis)[row]
-    wall = embed_graph(emb.ambient_metric,
-                       lambda *ys: np.full(ys[0].shape, wall_coord),
-                       graph_axis=amb_axis, orientation=1 if side else -1,
-                       bundle=emb.ambient_bundle)
+    wall = _face_graph(emb.ambient_metric, emb.ambient_bundle, amb_axis,
+                       side)
     axis_in_wall = emb.graph_axis - (1 if amb_axis < emb.graph_axis else 0)
-    heights = np.take(emb.graph_height.values, row, axis=axis)
+    heights = np.take(emb.graph_height.values, -1 if side else 0, axis=axis)
     return wall, _make_sampler(wall.slice_grid, axis_in_wall, heights)
 
 
@@ -450,9 +452,10 @@ def boundary_trace_identity(emb: HypersurfaceEmbedding, rho: ScalarField,
                             phi: ScalarField) -> dict:
     """Residual of the boundary trace relation on every boundary face.
 
-    Face curvatures come from recursive constant-graph embeddings: the
-    face inside the hypersurface, and the matching chart wall inside the
-    ambient manifold, both with outward normals.
+    Face curvatures come from recursive constant-graph embeddings, both
+    built by `_face_graph` with outward normals: the face inside the
+    hypersurface, and the matching chart wall inside the ambient
+    manifold.
     """
     if not emb.boundary_normal:
         raise ValueError("hypersurface has no boundary faces")
@@ -465,37 +468,25 @@ def boundary_trace_identity(emb: HypersurfaceEmbedding, rho: ScalarField,
     if np.any(rho.values <= 0.0):
         raise ValueError("density must be positive")
 
-    ds = emb.slice_grid.dim
-    rho_s = np.log(emb.sample(rho))
-    grad_rho_s = np.stack([diff_array(rho_s, emb.slice_grid, b, 1)
-                           for b in range(ds)], axis=-1)
-    dphi = np.stack([diff_array(phi.values, emb.ambient_grid, i, 1)
-                     for i in range(emb.ambient_grid.dim)], axis=-1)
-    dphi_s = emb.sample(dphi)
+    grad_rho_s = gradient(np.log(emb.sample(rho)), emb.slice_grid)
+    dphi_s = emb.sample(gradient(phi.values, emb.ambient_grid))
     slice_bundle = curvature_bundle(emb.induced_metric)
 
     out = {}
     for (a, side), eta in emb.boundary_normal.items():
-        row = -1 if side else 0
-        face = [slice(None)] * ds
-        face[a] = row
-        face = tuple(face)
-        coord = emb.slice_grid.axis_coords(a)[row]
-
-        sub = embed_graph(emb.induced_metric,
-                          lambda *ys: np.full(ys[0].shape, coord),
-                          graph_axis=a, orientation=1 if side else -1,
-                          bundle=slice_bundle)
-        h_face = sub.mean_curvature.values
+        h_face = _face_graph(emb.induced_metric, slice_bundle, a,
+                             side).mean_curvature.values
 
         wall, wall_sampler = chart_wall(emb, a, side)
         h_wall = wall_sampler.take(wall.mean_curvature.values)
 
-        lhs = np.einsum("...b,...b->...", grad_rho_s[face], eta,
-                        optimize=False) + h_face
-        eta_amb = np.einsum("...ib,...b->...i", emb.tangent_frame[face], eta,
+        row = -1 if side else 0
+        lhs = np.einsum("...b,...b->...", np.take(grad_rho_s, row, axis=a),
+                        eta, optimize=False) + h_face
+        eta_amb = np.einsum("...ib,...b->...i",
+                            np.take(emb.tangent_frame, row, axis=a), eta,
                             optimize=False)
-        rhs = np.einsum("...i,...i->...", dphi_s[face], eta_amb,
-                        optimize=False) + h_wall
+        rhs = np.einsum("...i,...i->...", np.take(dphi_s, row, axis=a),
+                        eta_amb, optimize=False) + h_wall
         out[(a, side)] = FaceTrace(a, side, lhs, rhs, lhs - rhs)
     return out

@@ -377,8 +377,6 @@ def lapse_residual(fol: GraphFoliation) -> LapseCheck:
             f"{k} (t = {times[k]:.6g}), beyond stencil error "
             f"{expected[k]:.3e}: not a constant-mu foliation")
     mu_rate = np.gradient(mu, times, edge_order=2)
-    # every slice of a foliation shares one ambient bundle
-    amb_pot = potential_derivatives(fol.slices[0].ambient_bundle, phi)
 
     residuals = []
     for k, emb in enumerate(fol.slices):
@@ -392,6 +390,7 @@ def lapse_residual(fol: GraphFoliation) -> LapseCheck:
             sb, ScalarField(emb.slice_grid, emb.sample(phi)))
         drift = np.einsum("...ab,...a,...b->...", sb.inverse,
                           pot_phi.gradient, pot_f.gradient, optimize=False)
-        value = value + emb.sample_nn(amb_pot.hessian) * f.values - drift
+        value = (value + emb.sample_nn(fol.potential.hessian) * f.values
+                 - drift)
         residuals.append(ScalarField(emb.slice_grid, value - mu_rate[k]))
     return LapseCheck(times, tuple(residuals), mu, mu_rate, spread)

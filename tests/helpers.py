@@ -5,6 +5,7 @@ independent answers for the suites.
 """
 
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,14 @@ def cli_env(**variables) -> dict:
     env = dict(os.environ, **variables)
     env["PYTHONPATH"] = source + (os.pathsep + path if path else "")
     return env
+
+
+def patch_every_binding(monkeypatch, real, replacement):
+    """Point every sclab module's binding of `real` at `replacement`."""
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("sclab.")
+                and getattr(module, real.__name__, None) is real):
+            monkeypatch.setattr(module, real.__name__, replacement)
 
 
 def constant_metric(grid: ChartGrid, matrix) -> TensorField:
@@ -142,6 +151,19 @@ def dense_ricci_scalar(metric: TensorField) -> tuple:
     ric = 0.5 * (ric + np.swapaxes(ric, -1, -2))
     scal = np.einsum("...ij,...ij->...", inv, ric, optimize=False)
     return ric, scal
+
+
+def reference_weighted_mean_curvature(emb, phi: ScalarField) -> np.ndarray:
+    """H + <grad phi, nu> per leaf node, grad phi differentiated afresh.
+
+    The reference for foliations, which read grad phi off the potential
+    derivatives they compute once: both must agree bit for bit.
+    """
+    grid = emb.ambient_grid
+    dphi = np.stack([diff_array(phi.values, grid, i, 1)
+                     for i in range(grid.dim)], axis=-1)
+    return emb.mean_curvature.values + np.einsum(
+        "...i,...i->...", emb.sample(dphi), emb.normal, optimize=False)
 
 
 def dense_tensor_norm_sq(inverse: np.ndarray, tensor: np.ndarray):

@@ -21,7 +21,7 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import cli_env
+from helpers import cli_env, patch_every_binding
 from sclab.cli import (
     ConfigError,
     ExperimentConfig,
@@ -38,14 +38,6 @@ from sclab.systole import build_winding_graph, systole_sigma
 def out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("SCL_OUTPUT_DIR", str(tmp_path))
     return tmp_path
-
-
-def patch_every_binding(monkeypatch, real, replacement):
-    """Point every sclab module's binding of `real` at `replacement`."""
-    for name, module in list(sys.modules.items()):
-        if (name.startswith("sclab.")
-                and getattr(module, real.__name__, None) is real):
-            monkeypatch.setattr(module, real.__name__, replacement)
 
 
 def read_csv(path):
@@ -151,6 +143,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="connectivity"):
             build_config("systole", "product-torus",
                          [("connectivity", "6", "a")])
+        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+            build_config("curvature", "random-torus", [("seed", "-1", "a")])
+        with pytest.raises(ConfigError, match="lengths takes 1 to 3"):
+            build_config("certify", "flat-torus",
+                         [("lengths", "1,2,3,4", "a")])
+        with pytest.raises(ConfigError, match="amplitude must lie"):
+            build_config("systole", "anisotropic-torus",
+                         [("amplitude", "1.5", "a")])
 
 
 class TestEmitSeries:
@@ -274,10 +274,7 @@ class TestFlowCommand:
             calls.append(1)
             return real(*args, **kwargs)
 
-        for name, module in list(sys.modules.items()):
-            if (name.startswith("sclab.")
-                    and getattr(module, "monotonicity_report", None) is real):
-                monkeypatch.setattr(module, "monotonicity_report", counting)
+        patch_every_binding(monkeypatch, real, counting)
         assert main(["flow", "torus", "res=16", "amplitude=0.1", "dt=1e-3",
                      "steps=5"]) == 0
         assert len(calls) == 1

@@ -12,15 +12,21 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import constant_metric
+from helpers import (
+    constant_metric,
+    patch_every_binding,
+    reference_weighted_mean_curvature,
+)
+from sclab import charts
 from sclab.charts import (
     BOUNDARY,
     PERIODIC,
     ScalarField,
+    TensorField,
     make_chart,
     sample_field,
 )
-from sclab.curvature import curvature_bundle
+from sclab.curvature import curvature_bundle, potential_derivatives
 from sclab.hypersurface import (
     boundary_trace_identity,
     embed_graph,
@@ -162,7 +168,8 @@ class TestWeightedMeanCurvature:
         emb = embed_graph(metric, lambda th, ph: np.full_like(th, 1.0),
                           graph_axis=2)
         phi = sample_field(grid, lambda *x: np.full_like(x[0], 0.8))
-        wh = weighted_mean_curvature(emb, phi)
+        wh = weighted_mean_curvature(
+            emb, potential_derivatives(emb.ambient_bundle, phi))
         assert np.array_equal(wh.values, emb.mean_curvature.values)
 
     def test_flat_slice_normal_derivative_order(self):
@@ -175,7 +182,8 @@ class TestWeightedMeanCurvature:
             phi = sample_field(grid, lambda x1, x2, x3: 0.2 * np.sin(x3))
             emb = embed_graph(metric, lambda a, b: np.full_like(a, t),
                               graph_axis=2)
-            wh = weighted_mean_curvature(emb, phi)
+            wh = weighted_mean_curvature(
+                emb, potential_derivatives(emb.ambient_bundle, phi))
             errors.append(np.max(np.abs(wh.values - 0.2 * np.cos(t))))
         assert min(observed_orders(errors)) > 1.9
 
@@ -183,8 +191,10 @@ class TestWeightedMeanCurvature:
         grid, metric = flat_box3((8, 8, 8))
         emb = embed_graph(metric, lambda a, b: np.full_like(a, 1.0),
                           graph_axis=2)
+        on_slice = potential_derivatives(
+            curvature_bundle(emb.induced_metric), ones_on(emb.slice_grid))
         with pytest.raises(ValueError, match="ambient"):
-            weighted_mean_curvature(emb, ones_on(emb.slice_grid))
+            weighted_mean_curvature(emb, on_slice)
 
 
 class TestGaussIdentity:
@@ -316,6 +326,55 @@ class TestAreaVariation:
             make_graph_foliation(metric, [0.0, 0.1, 0.2],
                                  [mk(0.0), mk(0.1), mk(0.2)], zeros_on(grid),
                                  graph_axis=2, orientation=-1)
+
+
+def perturbed_shell(lat, lon, rad):
+    """spherical_shell with a conformal bump and radial cross terms, so
+    no Christoffel symbol or Hessian entry vanishes identically."""
+    grid, metric = spherical_shell(lat, lon, rad, rel_width=0.3)
+    t, p, r = grid.coords()
+    bump = 1.0 + 0.1 * np.sin(t) * np.cos(p) * r
+    g = metric.values * bump[..., None, None]
+    g[..., 0, 2] = g[..., 2, 0] = 0.02 * np.cos(t) * np.sin(p)
+    g[..., 1, 2] = g[..., 2, 1] = 0.03 * np.sin(2 * t) * r
+    return grid, TensorField(grid, 2, g)
+
+
+class TestFoliationPotential:
+    def test_weighted_H_matches_the_per_leaf_formula(self):
+        grid, metric = perturbed_shell(17, 16, 17)
+        phi = sample_field(grid,
+                           lambda t, p, r: 0.3 * r * r + 0.1 * np.sin(t + p))
+        times = (0.95, 1.0, 1.05)
+        heights = [lambda t, p, c=c: c + 0.02 * np.sin(p) * np.cos(t)
+                   for c in times]
+        fol = make_graph_foliation(metric, times, heights, phi, graph_axis=2)
+        assert fol.potential.grid == grid
+        for emb, wh in zip(fol.slices, fol.weighted_H):
+            assert np.array_equal(wh.values,
+                                  reference_weighted_mean_curvature(emb, phi))
+
+    def test_ambient_stencils_do_not_grow_with_leaves(self, monkeypatch):
+        # phi is differentiated on the ambient grid once per foliation,
+        # not once per leaf
+        grid, metric = spherical_shell(9, 8, 17, rel_width=0.3)
+        phi = sample_field(grid, lambda t, p, r: 0.3 * r * r)
+        on_ambient = []
+        real = charts.diff_array
+
+        def recording(values, on_grid, *rest):
+            on_ambient.append(on_grid == grid)
+            return real(values, on_grid, *rest)
+
+        patch_every_binding(monkeypatch, real, recording)
+        counts = []
+        for leaves in (3, 5):
+            times = grid.axis_coords(2)[4:4 + leaves]
+            heights = [lambda t, p, c=c: np.full(t.shape, c) for c in times]
+            on_ambient.clear()
+            make_graph_foliation(metric, times, heights, phi, graph_axis=2)
+            counts.append(sum(on_ambient))
+        assert counts[0] == counts[1] > 0
 
 
 class TestBoundaryTrace:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from helpers import dense_principal_eigenvalue
+from sclab import spectral
 from sclab.charts import BOUNDARY, PERIODIC, ScalarField, make_chart
 from sclab.hypersurface import embed_graph, make_graph_foliation
 from sclab.models import (
@@ -337,6 +338,24 @@ class TestLapseResidual:
             errs.append(np.abs(check.residuals[mid].values).max())
         assert errs[1] <= 5e-3
         assert np.log2(errs[0] / errs[1]) >= 1.8
+
+    def test_reads_phi_derivatives_off_the_foliation(self, monkeypatch):
+        # phi's ambient derivatives come with the foliation; the lapse
+        # check differentiates only on the slice grids
+        fol = radial_foliation(
+            lambda l, r: spherical_shell(l, 12, r, rel_width=0.3),
+            (17, 17), slice(2, 15))
+        grids = []
+        real = spectral.potential_derivatives
+
+        def recording(bundle, phi):
+            grids.append(bundle.grid)
+            return real(bundle, phi)
+
+        monkeypatch.setattr(spectral, "potential_derivatives", recording)
+        lapse_residual(fol)
+        assert grids
+        assert fol.slices[0].ambient_grid not in grids
 
     def test_flags_non_cmc_foliation(self):
         grid, metric = cylindrical_shell(128, 16, 17, z_len=np.pi / 4,
