@@ -255,6 +255,21 @@ def second_derivative(values: np.ndarray, grid: ChartGrid, i: int,
     return diff_array(diff_array(values, grid, i, 1), grid, j, 1)
 
 
+def gradient_and_hessian(values: np.ndarray,
+                         grid: ChartGrid) -> tuple[np.ndarray, np.ndarray]:
+    """`gradient` and every `second_derivative`, stacked as one and two
+    last axes; the mixed ones difference the first derivatives already
+    held instead of taking them again."""
+    first = gradient(values, grid)
+    second = np.empty(first.shape + (grid.dim,))
+    for a in range(grid.dim):
+        second[..., a, a] = diff_array(values, grid, a, 2)
+        for b in range(a + 1, grid.dim):
+            second[..., a, b] = second[..., b, a] = diff_array(
+                first[..., a], grid, b, 1)
+    return first, second
+
+
 def tree_sum(values: np.ndarray) -> float:
     """Pairwise reduction in fixed node order; bit-reproducible."""
     flat = np.ascontiguousarray(values, dtype=float).reshape(-1)

@@ -21,9 +21,9 @@ from .charts import (
     ScalarField,
     TensorField,
     gradient,
+    gradient_and_hessian,
     integrate,
     sample_field,
-    second_derivative,
 )
 from .curvature import (
     CurvatureBundle,
@@ -159,12 +159,7 @@ def embed_graph(metric: TensorField, height, graph_axis: int | None = None,
     w = height.values
     sampler = _make_sampler(grid, graph_axis, w)
 
-    dw = gradient(w, slice_grid)
-    d2w = np.zeros(slice_grid.shape + (ds, ds))
-    for a in range(ds):
-        for b in range(a, ds):
-            d2w[..., a, b] = d2w[..., b, a] = second_derivative(
-                w, slice_grid, a, b)
+    dw, d2w = gradient_and_hessian(w, slice_grid)
 
     frame = np.zeros(slice_grid.shape + (d, ds))
     for a, amb in enumerate(kept):

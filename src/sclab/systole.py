@@ -39,10 +39,12 @@ CONNECTIVITY_OFFSETS = {
          (2, 1), (1, 2), (2, -1), (1, -2)),
 }
 
-# Cover layers searched by systole_sigma.  A minimizer with partial
-# winding outside [-2, 3] would have to cross the cut five extra times;
-# no metric in this corpus comes close, and systole_sigma raises if a
-# walk within a search's limit could step out of the window.
+# Cover layers searched by systole_sigma, whose sources sit at winding
+# level 0.  A minimizer with partial winding outside [-2, 3] would have
+# to cross the cut five extra times; no metric in this corpus comes
+# close.  Every search checks the window at its own radius (half the
+# best loop plus one edge in the first pass, the best loop in the
+# reruns), and systole_sigma raises if a walk within it could step out.
 _LAYER_LO, _LAYER_HI = -2, 3
 
 
@@ -229,36 +231,98 @@ def _check_layer_window(graph: WindingGraph, dist: np.ndarray, limit: float,
                 f"node {node} in layer {layer}")
 
 
+def cycle_length(graph: WindingGraph, cycle) -> tuple[float, int]:
+    """Length and total winding of a closed node walk (first == last).
+
+    Each step is looked up among both orientations of the stored edges
+    by its tail * N + head key; lengths are added in walk order, as a
+    shortest-path search accumulates them along its path.
+    """
+    walk = np.asarray(cycle, dtype=np.int64)
+    if walk.size < 2 or walk[0] != walk[-1]:
+        raise ValueError("cycle must be a closed walk (first node == last)")
+    n = graph.node_count
+    keys = np.concatenate((graph.tail * n + graph.head,
+                           graph.head * n + graph.tail))
+    order = np.argsort(keys, kind="stable")
+    steps = walk[:-1] * n + walk[1:]
+    at = np.searchsorted(keys, steps, sorter=order)
+    found = order[np.minimum(at, keys.size - 1)]
+    missing = np.flatnonzero(keys[found] != steps)
+    if missing.size:
+        k = int(missing[0])
+        shape = graph.grid.shape
+        raise ValueError(f"walk step {node_tuple(walk[k], shape)} -> "
+                         f"{node_tuple(walk[k + 1], shape)} is not a "
+                         "graph edge")
+    edges = graph.length.size
+    edge = found % edges
+    winding = np.where(found < edges, graph.winding[edge],
+                       -graph.winding[edge])
+    length = float(np.add.accumulate(graph.length[edge])[-1])
+    return length, int(winding.sum())
+
+
 def systole_sigma(graph: WindingGraph) -> tuple[float, tuple[int, ...]]:
     """Shortest closed walk with nonzero winding, with one realizing
     cycle (node ids, closed).
 
-    Runs nonnegative-weight shortest paths in the Z-cover from each cut
-    node to its winding-one translate and keeps the minimum; ties break
-    to the lowest cut-node index.  The cheapest pure-xi loop seeds the
-    search so later sources only explore balls of the current best
-    radius.  The result is an upper bound for the continuum systole;
-    see `quantization_bound` for the stencil's worst-case slack.
+    Shortest paths run in the Z-cover from a source v0 (node v at
+    winding level 0) to its winding-one translate v1.  The sources are
+    the nodes of xi column 0, and of column n - 1 as well when the
+    stencil steps two columns along xi: every cut-crossing edge has an
+    endpoint there, so every winding cycle passes through a source.
+
+    A first pass estimates each source's loop from half its length.  The
+    cover is invariant under the deck shift and under edge reversal,
+    so d(x, v1) = d(v0, x shifted down one layer), and one search from
+    v0 holds both halves: e_v = min_x d(v0, x) + d(x, v1).  A shortest
+    loop of length L <= best has a vertex within L/2 of v0 whose own
+    distance to v1 is at most L/2 + (longest edge), so a search
+    truncated at R = best/2 + (longest edge) sees it, and e_v is the
+    loop length up to rounding; longer loops give e_v > best.  The
+    layer-window check at R shows that the truncated ball is the same
+    as in the whole Z-cover.
+
+    A second pass reruns the full search, with predecessors, from each
+    source whose estimate is within 1e-9 (relative) of the least, in
+    index order, limited by the best loop so far; ties break to the
+    lowest source index.  sigma is that search's path sum, not the
+    two-half estimate.  The cheapest pure-xi loop seeds `best`.  The
+    reported cycle is walked again by `cycle_length` and must give
+    sigma (to 1e-12 relative) with winding +-1.  The result is an upper
+    bound for the continuum systole; see `quantization_bound` for the
+    stencil's worst-case slack.
     """
     n = graph.node_count
-    n0, n1 = graph.grid.shape
+    shape = graph.grid.shape
     base = -_LAYER_LO  # layer index of winding level 0
 
-    # Every cut-crossing edge (|xi displacement| <= 2 < resolution) has
-    # an endpoint in the first or last xi column, so minimizing over
-    # those nodes sees every winding cycle.
-    if graph.xi_axis == 0:
-        cut = sorted(i * n1 + j for i in (0, n0 - 1) for j in range(n1))
-    else:
-        cut = sorted(i * n1 + j for j in (0, n1 - 1) for i in range(n0))
+    # A cut-crossing edge joins the last `step` xi columns to the first
+    # ones: with unit steps it always touches column 0; with steps of
+    # two, one of its endpoints lies in column 0 or in column n - 1.
+    step = max(abs(off[graph.xi_axis])
+               for off in CONNECTIVITY_OFFSETS[graph.connectivity])
+    n_xi = shape[graph.xi_axis]
+    columns = (0,) if step == 1 else (0, n_xi - 1)
+    sources = np.sort(np.take(np.arange(n).reshape(shape), columns,
+                              axis=graph.xi_axis).ravel())
 
     cover = _cover_matrix(graph)
     exits = _window_exits(graph)
     best = _straight_loop_bound(graph) * (1.0 + 1e-9)
+    radius = 0.5 * best + float(graph.length.max())
+    estimate = np.empty(sources.size)
+    for k, v in enumerate(sources.tolist()):
+        dist = dijkstra(cover, directed=True, indices=base * n + v,
+                        limit=radius)
+        _check_layer_window(graph, dist, radius, v, exits)
+        estimate[k] = (dist[n:] + dist[:-n]).min()
+
     best_len = math.inf
     best_pred = None
     best_node = -1
-    for v in cut:
+    for v in sources[estimate <= estimate.min() * (1.0 + 1e-9)].tolist():
         src = base * n + v
         dist, pred = dijkstra(cover, directed=True, indices=src,
                               limit=best, return_predecessors=True)
@@ -282,6 +346,12 @@ def systole_sigma(graph: WindingGraph) -> tuple[float, tuple[int, ...]]:
             raise RuntimeError("shortest-path tree lost the source")
     cycle.append(best_node)
     cycle.reverse()
+    length, winding = cycle_length(graph, cycle)
+    if abs(length - best_len) > 1e-12 * best_len or abs(winding) != 1:
+        raise RuntimeError(
+            f"systole cycle from cut node {node_tuple(best_node, shape)} "
+            f"walks to length {length!r} with winding {winding}, not to "
+            f"sigma {best_len!r} with winding +-1")
     return best_len, tuple(cycle)
 
 

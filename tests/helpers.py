@@ -4,6 +4,7 @@ The package itself never needs these; they build inputs and
 independent answers for the suites.
 """
 
+import math
 import os
 import sys
 from pathlib import Path
@@ -11,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
+from scipy.sparse.csgraph import dijkstra
 
 import sclab
+from sclab import systole
 from sclab.charts import ChartGrid, ScalarField, TensorField, diff_array, \
     node_tuple
 
@@ -83,8 +86,13 @@ def edge_table(graph) -> dict:
     return table
 
 
-def cycle_length(graph, cycle) -> tuple[float, int]:
-    """Length and total winding of a closed node walk (first == last)."""
+def reference_cycle_length(graph, cycle) -> tuple[float, int]:
+    """Length and total winding of a closed node walk (first == last),
+    stepped through a dict of edges.
+
+    The reference for systole.cycle_length, which looks steps up in
+    sorted edge keys: both must agree bit for bit.
+    """
     if len(cycle) < 2 or cycle[0] != cycle[-1]:
         raise ValueError("cycle must be a closed walk (first node == last)")
     table = edge_table(graph)
@@ -96,6 +104,43 @@ def cycle_length(graph, cycle) -> tuple[float, int]:
         total += ell
         wind += w
     return total, wind
+
+
+def full_radius_sigma(graph) -> tuple[float, tuple[int, ...]]:
+    """Systole by full-radius cover searches from every cut node.
+
+    The reference for systole.systole_sigma, which runs full searches
+    only from the sources whose half-radius estimate is least: both
+    must agree bit for bit, in sigma and in the cycle.
+    """
+    n = graph.node_count
+    n0, n1 = graph.grid.shape
+    base = -systole._LAYER_LO
+    if graph.xi_axis == 0:
+        cut = sorted(i * n1 + j for i in (0, n0 - 1) for j in range(n1))
+    else:
+        cut = sorted(i * n1 + j for j in (0, n1 - 1) for i in range(n0))
+    cover = systole._cover_matrix(graph)
+    exits = systole._window_exits(graph)
+    best = systole._straight_loop_bound(graph) * (1.0 + 1e-9)
+    best_len, best_pred, best_node = math.inf, None, -1
+    for v in cut:
+        dist, pred = dijkstra(cover, directed=True, indices=base * n + v,
+                              limit=best, return_predecessors=True)
+        systole._check_layer_window(graph, dist, best, v, exits)
+        d = float(dist[(base + 1) * n + v])
+        if d < best_len:
+            best_len, best_pred, best_node = d, pred, v
+            best = d * (1.0 + 1e-9)
+    cycle = []
+    at = (base + 1) * n + best_node
+    while at != base * n + best_node:
+        cycle.append(int(at) % n)
+        at = int(best_pred[at])
+        if at < 0:
+            raise RuntimeError("shortest-path tree lost the source")
+    cycle.append(best_node)
+    return best_len, tuple(reversed(cycle))
 
 
 def dense_ricci_scalar(metric: TensorField) -> tuple:

@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import constant_metric, cycle_length, edge_table
+from helpers import constant_metric, edge_table, full_radius_sigma, \
+    random_spd_metric, reference_cycle_length
 from sclab import systole
 from sclab.charts import TensorField, make_chart
 from sclab.models import TWO_PI, flat_torus, torus_surface
@@ -32,6 +33,7 @@ from sclab.systole import (
     SphereCylinder,
     build_winding_graph,
     certificate_line,
+    cycle_length,
     equality_certificate,
     quantization_bound,
     systole_sigma,
@@ -75,10 +77,53 @@ def aniso_graph(res, conn, axis=0):
                                connectivity=conn)
 
 
-def shear_graph(conn):
+def shear_graph(conn, axis=0, shear=-0.6):
     grid, _ = flat_torus(32, (1.0, 1.0))
-    metric = constant_metric(grid, [[1.0, -0.6], [-0.6, 1.0]])
-    return build_winding_graph(grid, metric, xi_axis=0, connectivity=conn)
+    metric = constant_metric(grid, [[1.0, shear], [shear, 1.0]])
+    return build_winding_graph(grid, metric, xi_axis=axis, connectivity=conn)
+
+
+def trig_metric(amp):
+    def metric(x1, x2):
+        out = np.zeros(np.shape(x1) + (2, 2))
+        out[..., 0, 0] = 1.0 + amp * np.sin(x2)
+        out[..., 1, 1] = 1.0 + amp * np.cos(x1)
+        return out
+    return metric
+
+
+def trig_graph(amp, conn, axis=0):
+    grid, _ = flat_torus(16, (TWO_PI, TWO_PI))
+    return build_winding_graph(grid, trig_metric(amp), xi_axis=axis,
+                               connectivity=conn)
+
+
+def knight_graph(axis, amp=0.5):
+    """16-neighbor graph whose shortest xi loops miss column 0.
+
+    g_xi,xi is large at half-integer xi, where axis steps have their
+    midpoints, and small at the nodes, where knight steps (2, +-1) have
+    theirs, smallest on even columns.  So the shortest loops zigzag by
+    knight steps through the odd columns, whose knight steps have even
+    midpoints.
+    """
+    grid, _ = flat_torus(16, (TWO_PI, TWO_PI))
+
+    def metric(x1, x2):
+        xi = (x1, x2)[axis]
+        out = np.zeros(np.shape(x1) + (2, 2))
+        out[..., axis, axis] = 1.0 - amp * np.cos(16 * xi) \
+            - 0.05 * np.cos(8 * xi)
+        out[..., 1 - axis, 1 - axis] = 1.0
+        return out
+
+    return build_winding_graph(grid, metric, xi_axis=axis, connectivity=16)
+
+
+def random_graph(res, seed, conn, axis):
+    grid, _ = flat_torus(res, (TWO_PI, TWO_PI))
+    return build_winding_graph(grid, random_spd_metric(grid, seed),
+                               xi_axis=axis, connectivity=conn)
 
 
 def adjacency(graph):
@@ -95,7 +140,9 @@ def brute_force_sigma(graph):
 
     Every such cycle uses a cut-crossing edge, and each of those has an
     endpoint in the first or last xi column, so those columns suffice
-    as start nodes.
+    as start nodes.  Both columns are kept at every connectivity, where
+    systole_sigma starts from column 0 alone when the stencil steps one
+    column along xi, so the enumeration does not share that choice.
     """
     adj = adjacency(graph)
     n0, n1 = graph.grid.shape
@@ -298,7 +345,7 @@ class TestSystole:
         graph = build_winding_graph(grid, metric, connectivity=4)
         sigma, cycle = systole_sigma(graph)
         assert sigma == 1.0
-        length, wind = cycle_length(graph, cycle)
+        length, wind = reference_cycle_length(graph, cycle)
         assert length == 1.0 and wind == 1
         assert len(cycle) == 9
 
@@ -309,7 +356,7 @@ class TestSystole:
         brute = brute_force_sigma(graph)
         sigma, cycle = systole_sigma(graph)
         assert sigma == pytest.approx(brute, abs=1e-12)
-        length, wind = cycle_length(graph, cycle)
+        length, wind = reference_cycle_length(graph, cycle)
         assert wind != 0
         assert length == pytest.approx(sigma, abs=1e-12)
 
@@ -319,7 +366,7 @@ class TestSystole:
                                     connectivity=16)
         sigma, cycle = systole_sigma(graph)
         assert abs(sigma - TWO_PI) / TWO_PI <= 1.5e-2
-        length, wind = cycle_length(graph, cycle)
+        length, wind = reference_cycle_length(graph, cycle)
         assert wind != 0
         assert length == pytest.approx(sigma, abs=1e-12)
 
@@ -385,17 +432,9 @@ class TestSystole:
     @settings(max_examples=10, deadline=None)
     @given(amp=st.floats(0.0, 0.45), conn=st.sampled_from([4, 8]))
     def test_reported_cycle_always_checks_out(self, amp, conn):
-        grid, _ = flat_torus(16, (TWO_PI, TWO_PI))
-
-        def metric(x1, x2):
-            out = np.zeros(np.shape(x1) + (2, 2))
-            out[..., 0, 0] = 1.0 + amp * np.sin(x2)
-            out[..., 1, 1] = 1.0 + amp * np.cos(x1)
-            return out
-
-        graph = build_winding_graph(grid, metric, connectivity=conn)
+        graph = trig_graph(amp, conn)
         sigma, cycle = systole_sigma(graph)
-        length, wind = cycle_length(graph, cycle)
+        length, wind = reference_cycle_length(graph, cycle)
         assert wind != 0
         assert length == pytest.approx(sigma, abs=1e-12)
         assert cycle[0] == cycle[-1]
@@ -409,6 +448,91 @@ class TestSystole:
         graph = cached(("aniso", 16, 8), lambda: aniso_graph(16, 8))
         with pytest.raises(ValueError, match="not a graph edge"):
             cycle_length(graph, (0, 5, 0))
+
+    # amplitude 1e-11 ties every row's loop within the rerun slack, with
+    # the shortest one away from row 0; the knight graphs' shortest
+    # loops miss column 0; on random metrics at connectivity 16 both
+    # searches start from the same two columns
+    @pytest.mark.parametrize("family,param,conn,axis", [
+        *[("trig", amp, conn, axis) for amp in (0.0, 1e-11, 0.2, 0.45)
+          for conn in (4, 8, 16) for axis in (0, 1)],
+        *[("shear", shear, conn, axis) for shear in (0.6, -0.6)
+          for conn in (4, 8, 16) for axis in (0, 1)],
+        ("aniso", 128, 16, 0),
+        ("knight", None, 16, 0), ("knight", None, 16, 1),
+        *[("random", res_seed, 16, axis)
+          for res_seed, axis in (((15, 0), 0), ((15, 4), 1), ((12, 14), 1),
+                                 ((17, 23), 1))],
+    ], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else None)
+    def test_matches_full_radius_search(self, family, param, conn, axis):
+        build = {"trig": lambda: trig_graph(param, conn, axis),
+                 "shear": lambda: shear_graph(conn, axis, param),
+                 "aniso": lambda: aniso_graph(param, conn, axis),
+                 "knight": lambda: knight_graph(axis),
+                 "random": lambda: random_graph(*param, conn, axis)}[family]
+        graph = cached((family, param, conn, axis), build)
+        sigma, cycle = systole_sigma(graph)
+        assert (sigma, cycle) == full_radius_sigma(graph)
+        twice = cycle + cycle[1:]
+        assert cycle_length(graph, twice) == \
+            reference_cycle_length(graph, twice)
+        assert cycle_length(graph, twice)[1] == 2
+
+    def test_searches_from_one_column_at_unit_xi_steps(self, monkeypatch):
+        graph = cached(("aniso", 128, 8), lambda: aniso_graph(128, 8))
+        real, calls = systole.dijkstra, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(systole, "dijkstra", counting)
+        systole_sigma(graph)
+        assert len(calls) <= graph.grid.shape[1] + 2
+
+    def test_doctored_cycle_is_rejected(self, monkeypatch):
+        # full searches that report every distance 1e-9 long hand back
+        # a cycle that no longer walks to the sigma they report
+        real = systole.dijkstra
+
+        def doctored(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if kwargs.get("return_predecessors"):
+                return out[0] * (1.0 + 1e-9), out[1]
+            return out
+
+        monkeypatch.setattr(systole, "dijkstra", doctored)
+        graph = cached(("aniso", 16, 8), lambda: aniso_graph(16, 8))
+        with pytest.raises(RuntimeError, match=r"cycle from cut node "
+                                               r"\(0, \d+\) walks to length"):
+            systole_sigma(graph)
+
+    def test_loose_straight_bound_keeps_reruns_in_the_window(
+            self, monkeypatch):
+        # the straight loops are 2.5 sigma long, and a full search
+        # pruned against them can step out of layer -2 from (0, 0);
+        # searches reach that far only from the sources of the
+        # shortest loops, and (0, 0) is not one
+        graph = knight_graph(0, amp=0.9)
+        found = systole_sigma(graph)
+        monkeypatch.setattr(systole, "_LAYER_LO", -4)
+        monkeypatch.setattr(systole, "_LAYER_HI", 5)
+        assert found == full_radius_sigma(graph)
+
+    def test_half_radius_pass_checks_the_window(self, monkeypatch):
+        monkeypatch.setattr(systole, "_LAYER_LO", 0)
+        monkeypatch.setattr(systole, "_LAYER_HI", 1)
+        real, full = systole.dijkstra, []
+
+        def recording(*args, **kwargs):
+            full.append(kwargs.get("return_predecessors", False))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(systole, "dijkstra", recording)
+        graph = cached(("aniso", 16, 8), lambda: aniso_graph(16, 8))
+        with pytest.raises(RuntimeError, match="layer window"):
+            systole_sigma(graph)
+        assert full == [False]
 
     def test_layer_window_check_fires_when_narrowed(self, monkeypatch):
         # with only levels 0 and 1 in the cover, the first source's step
