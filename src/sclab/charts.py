@@ -205,18 +205,29 @@ def diff_array(values: np.ndarray, grid: ChartGrid, axis: int,
         raise ValueError(f"derivative order must be 1 or 2, got {order}")
     h = grid.spacing[axis]
     v = np.asarray(values, dtype=float)
-    if grid.topology[axis] == PERIODIC:
-        up = np.roll(v, -1, axis=axis)
-        dn = np.roll(v, 1, axis=axis)
-        if order == 1:
-            return (up - dn) / (2.0 * h)
-        return (up - 2.0 * v + dn) / (h * h)
-
     out = np.empty_like(v)
     n = grid.resolution[axis]
 
     def row(i):
         return _axis_slice(v.ndim, axis, i)
+
+    if grid.topology[axis] == PERIODIC:
+        # (up - dn) / 2h and ((-2 v + up) + dn) / h^2, where row i reads
+        # up = v[i + 1] and dn = v[i - 1], wrapping at the two end rows
+        rows = (slice(0, 1), slice(1, n - 1), slice(n - 1, n))
+        ups = (slice(1, 2), slice(2, n), slice(0, 1))
+        dns = (slice(n - 1, n), slice(0, n - 2), slice(n - 2, n - 1))
+        if order == 1:
+            for at, up, dn in zip(rows, ups, dns):
+                np.subtract(v[row(up)], v[row(dn)], out=out[row(at)])
+            out /= 2.0 * h
+        else:
+            np.multiply(v, -2.0, out=out)
+            for shifted in (ups, dns):
+                for at, src in zip(rows, shifted):
+                    out[row(at)] += v[row(src)]
+            out /= h * h
+        return out
 
     # one-sided closures are written as combinations of neighbor
     # differences so constant fields cancel exactly, not just to roundoff
@@ -246,27 +257,22 @@ def gradient(values: np.ndarray, grid: ChartGrid) -> np.ndarray:
                     axis=-1)
 
 
-def second_derivative(values: np.ndarray, grid: ChartGrid, i: int,
-                      j: int) -> np.ndarray:
-    """d_i d_j of nodal values: the order-2 stencil on the diagonal,
-    nested first differences (along i, then j) off it."""
-    if i == j:
-        return diff_array(values, grid, i, 2)
-    return diff_array(diff_array(values, grid, i, 1), grid, j, 1)
-
-
 def gradient_and_hessian(values: np.ndarray,
-                         grid: ChartGrid) -> tuple[np.ndarray, np.ndarray]:
-    """`gradient` and every `second_derivative`, stacked as one and two
-    last axes; the mixed ones difference the first derivatives already
-    held instead of taking them again."""
+                         grid: ChartGrid) -> tuple[np.ndarray, dict]:
+    """`gradient`, and the second derivatives d_a d_b per axis pair,
+    keyed by both (a, b) and (b, a), which share one array.
+
+    The diagonal ones take the order-2 stencil; a mixed one (a < b)
+    differences along b the first derivative along a already held.
+    Component axes ride along, and no array with two more axes is built.
+    """
     first = gradient(values, grid)
-    second = np.empty(first.shape + (grid.dim,))
+    second = {}
     for a in range(grid.dim):
-        second[..., a, a] = diff_array(values, grid, a, 2)
+        second[a, a] = diff_array(values, grid, a, 2)
         for b in range(a + 1, grid.dim):
-            second[..., a, b] = second[..., b, a] = diff_array(
-                first[..., a], grid, b, 1)
+            second[a, b] = second[b, a] = diff_array(first[..., a], grid,
+                                                     b, 1)
     return first, second
 
 
@@ -286,10 +292,46 @@ def tree_sum(values: np.ndarray) -> float:
     return float(buf[0])
 
 
-def metric_determinant(metric: TensorField) -> np.ndarray:
-    d = metric.grid.dim
-    g = metric.values.reshape(-1, d, d)
-    return np.linalg.det(g).reshape(metric.grid.shape)
+def inverse_and_determinant(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse and determinant of every trailing d x d block (d <= 3):
+    the adjugate over the determinant, expanded along the first row.
+
+    The leading principal minors are tested from order 1 up, the last
+    being the determinant itself; the first node where one is not
+    positive raises ValueError naming that node and the order.
+    """
+    for k in range(1, g.shape[-1] + 1):
+        adj = _adjugate(g[..., :k, :k])
+        det = g[..., 0, 0] * adj[..., 0, 0]
+        for j in range(1, k):
+            det += g[..., 0, j] * adj[..., j, 0]
+        bad = ~(det > 0.0)
+        if bad.any():
+            node = node_tuple(np.argmax(bad), det.shape)
+            raise ValueError(f"metric is not positive definite at node {node} "
+                             f"(order-{k} leading minor {det[node]:.3e})")
+    adj /= det[..., None, None]
+    return adj, det
+
+
+def _adjugate(m: np.ndarray) -> np.ndarray:
+    """Transposed cofactor matrix of every trailing k x k block, k <= 3."""
+    k = m.shape[-1]
+    adj = np.empty(m.shape)
+    if k == 1:
+        adj[..., 0, 0] = 1.0
+    elif k == 2:
+        adj[..., 0, 0], adj[..., 1, 1] = m[..., 1, 1], m[..., 0, 0]
+        adj[..., 0, 1], adj[..., 1, 0] = -m[..., 0, 1], -m[..., 1, 0]
+    else:
+        # adj[i, j] is the (j, i) cofactor; cyclic shifts carry its sign
+        for i in range(3):
+            c, e = (i + 1) % 3, (i + 2) % 3
+            for j in range(3):
+                r, s = (j + 1) % 3, (j + 2) % 3
+                np.subtract(m[..., r, c] * m[..., s, e],
+                            m[..., r, e] * m[..., s, c], out=adj[..., i, j])
+    return adj
 
 
 def integrate(field: ScalarField, metric: TensorField) -> float:
@@ -297,10 +339,7 @@ def integrate(field: ScalarField, metric: TensorField) -> float:
     grid = field.grid
     if metric.grid is not grid and metric.grid != grid:
         raise ValueError("field and metric live on different grids")
-    det = metric_determinant(metric)
-    if np.any(det <= 0.0):
-        node = node_tuple(np.argmax(det <= 0.0), grid.shape)
-        raise ValueError(f"non-positive metric determinant at node {node}")
+    det = inverse_and_determinant(metric.values)[1]
     return tree_sum(field.values * np.sqrt(det) * grid.cell_weights())
 
 

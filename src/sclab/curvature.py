@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import (PERIODIC, ChartGrid, ScalarField, TensorField,
-                     gradient, integrate, make_chart, node_tuple,
-                     second_derivative)
+                     gradient_and_hessian, integrate,
+                     inverse_and_determinant, make_chart)
 
 
 @dataclass(frozen=True)
@@ -35,34 +35,6 @@ class CurvatureBundle:
     christoffel: np.ndarray   # Gamma^k_{ij} per node, symmetric in (i, j)
     ricci: TensorField
     scalar: ScalarField
-
-
-def _leading_minor(g: np.ndarray, k: int) -> np.ndarray:
-    """Determinant of the leading k x k block (k <= 3) in closed form."""
-    if k == 1:
-        return g[..., 0, 0]
-    if k == 2:
-        return g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
-    return (g[..., 0, 0] * (g[..., 1, 1] * g[..., 2, 2]
-                            - g[..., 1, 2] * g[..., 2, 1])
-            - g[..., 0, 1] * (g[..., 1, 0] * g[..., 2, 2]
-                              - g[..., 1, 2] * g[..., 2, 0])
-            + g[..., 0, 2] * (g[..., 1, 0] * g[..., 2, 1]
-                              - g[..., 1, 1] * g[..., 2, 0]))
-
-
-def check_positive_definite(metric: TensorField) -> None:
-    """Leading-principal-minor test at every node; abort on failure."""
-    d = metric.grid.dim
-    g = metric.values
-    for k in range(1, d + 1):
-        minors = _leading_minor(g, k)
-        bad = minors <= 0.0
-        if bad.any():
-            node = node_tuple(np.argmax(bad), metric.grid.shape)
-            raise ValueError(f"metric is not positive definite at node "
-                             f"{node} (order-{k} leading minor "
-                             f"{minors[node]:.3e})")
 
 
 def curvature_bundle(metric: TensorField) -> CurvatureBundle:
@@ -87,18 +59,10 @@ def curvature_bundle(metric: TensorField) -> CurvatureBundle:
     sym_gap = np.max(np.abs(g - np.swapaxes(g, -1, -2)))
     if sym_gap > 1e-12:
         raise ValueError(f"metric is not symmetric (gap {sym_gap:.3e})")
-    check_positive_definite(metric)
-    inv = np.linalg.inv(g)
+    inv = inverse_and_determinant(g)[0]
 
-    # dg[..., i, j, a] = d_a g_{ij}
-    dg = gradient(g, grid)
-    # d2g[k, l][..., i, j] = d_k d_l g_{ij} for k <= l
-    d2g = {(k, l): second_derivative(g, grid, k, l)
-           for k in range(d) for l in range(k, d)}
-
-    def second(i, j, k, l):
-        """d_k d_l g_{ij}"""
-        return d2g[min(k, l), max(k, l)][..., i, j]
+    # dg[..., i, j, a] = d_a g_{ij}; d2g[k, l][..., i, j] = d_k d_l g_{ij}
+    dg, d2g = gradient_and_hessian(g, grid)
 
     gamma = np.zeros(grid.shape + (d, d, d))
     for k in range(d):
@@ -120,9 +84,9 @@ def curvature_bundle(metric: TensorField) -> CurvatureBundle:
         for k in range(i + 1, d):
             for l in range(d):
                 for m in range(l + 1, d):
-                    comp = 0.5 * (second(i, m, k, l) + second(k, l, i, m)
-                                  - second(i, l, k, m)
-                                  - second(k, m, i, l))
+                    comp = 0.5 * (d2g[k, l][..., i, m] + d2g[i, m][..., k, l]
+                                  - d2g[k, m][..., i, l]
+                                  - d2g[i, l][..., k, m])
                     for n in range(d):
                         for p in range(d):
                             comp += g[..., n, p] * (
@@ -173,8 +137,7 @@ def potential_derivatives(bundle: CurvatureBundle,
     d = grid.dim
     if phi.grid != grid:
         raise ValueError("potential lives on a different grid")
-    p = phi.values
-    dphi = gradient(p, grid)
+    dphi, d2phi = gradient_and_hessian(phi.values, grid)
 
     hess = np.zeros(grid.shape + (d, d))
     for i in range(d):
@@ -182,8 +145,7 @@ def potential_derivatives(bundle: CurvatureBundle,
             corr = np.zeros(grid.shape)
             for k in range(d):
                 corr += bundle.christoffel[..., k, i, j] * dphi[..., k]
-            hess[..., i, j] = hess[..., j, i] = (
-                second_derivative(p, grid, i, j) - corr)
+            hess[..., i, j] = hess[..., j, i] = d2phi[i, j] - corr
 
     inv = bundle.inverse
     grad_sq = np.einsum("...ab,...a,...b->...", inv, dphi, dphi,

@@ -23,12 +23,12 @@ from .charts import (
     gradient,
     gradient_and_hessian,
     integrate,
+    inverse_and_determinant,
     sample_field,
 )
 from .curvature import (
     CurvatureBundle,
     PotentialDerivatives,
-    check_positive_definite,
     curvature_bundle,
     potential_derivatives,
 )
@@ -170,12 +170,11 @@ def embed_graph(metric: TensorField, height, graph_axis: int | None = None,
     # inverse: the two differ at off-node points, and the unit-normal
     # normalization must be consistent with g_at to machine precision
     g_at = sampler.take(metric.values)
-    inv_at = np.linalg.inv(g_at)
+    inv_at = inverse_and_determinant(g_at)[0]
     induced = np.einsum("...ij,...ia,...jb->...ab", g_at, frame, frame,
                         optimize=False)
     induced = TensorField(slice_grid, 2, 0.5 * (induced + np.swapaxes(induced, -1, -2)))
-    check_positive_definite(induced)
-    induced_inv = np.linalg.inv(induced.values)
+    induced_inv = inverse_and_determinant(induced.values)[0]
 
     co = np.zeros(slice_grid.shape + (d,))
     co[..., graph_axis] = 1.0
@@ -197,9 +196,10 @@ def embed_graph(metric: TensorField, height, graph_axis: int | None = None,
                          f"tangency {tangency.max():.3e}")
 
     gamma_at = sampler.take(bundle.christoffel)
-    second = -(co[..., graph_axis][..., None, None] * d2w
-               + np.einsum("...k,...kij,...ia,...jb->...ab", co, gamma_at,
-                           frame, frame, optimize=False))
+    second = np.einsum("...k,...kij,...ia,...jb->...ab", co, gamma_at,
+                       frame, frame, optimize=False)
+    for (a, b), d2w_ab in d2w.items():
+        second[..., a, b] = -(co[..., graph_axis] * d2w_ab + second[..., a, b])
     second = TensorField(slice_grid, 2,
                          0.5 * (second + np.swapaxes(second, -1, -2)))
 

@@ -26,7 +26,7 @@ from .charts import (
     ChartGrid,
     ScalarField,
     TensorField,
-    metric_determinant,
+    inverse_and_determinant,
     tree_sum,
 )
 from .curvature import curvature_bundle, potential_derivatives
@@ -122,8 +122,7 @@ def assemble_drift_operator(grid: ChartGrid, metric: TensorField,
     if np.any(weight.values <= 0.0):
         raise ValueError("weight must be positive everywhere")
     d = grid.dim
-    inv = np.linalg.inv(metric.values)
-    det = metric_determinant(metric)
+    inv, det = inverse_and_determinant(metric.values)
     dens = weight.values * np.sqrt(det)        # rho sqrt(g) per node
     cellw = grid.cell_weights()
     mass = (dens * cellw).reshape(-1)

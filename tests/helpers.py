@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import dijkstra
 import sclab
 from sclab import systole
 from sclab.charts import ChartGrid, ScalarField, TensorField, diff_array, \
-    node_tuple
+    inverse_and_determinant, node_tuple
 
 DENSE_ORACLE_CAP = 1024
 
@@ -110,8 +110,13 @@ def full_radius_sigma(graph) -> tuple[float, tuple[int, ...]]:
     """Systole by full-radius cover searches from every cut node.
 
     The reference for systole.systole_sigma, which runs full searches
-    only from the sources whose half-radius estimate is least: both
-    must agree bit for bit, in sigma and in the cycle.
+    only from the sources whose half-radius estimate is least.  At
+    connectivity 16 both start from the first and last xi columns and
+    must agree bit for bit, in sigma and in the cycle.  At connectivity
+    4 and 8 systole_sigma starts from column 0 alone, while the minimum
+    here may be the same loop summed from its last-column end: there
+    the contract is the same loop, started at another node, with sigma
+    within 2 ulps.
     """
     n = graph.node_count
     n0, n1 = graph.grid.shape
@@ -148,12 +153,13 @@ def dense_ricci_scalar(metric: TensorField) -> tuple:
 
     The reference for curvature_bundle, which assembles the same
     components blockwise and contracts them in component loops: both
-    must agree bit for bit.
+    must agree bit for bit.  What is checked is that contraction order,
+    so both sides take g^{-1} from the one charts kernel.
     """
     grid = metric.grid
     d = grid.dim
     g = metric.values
-    inv = np.linalg.inv(g)
+    inv = inverse_and_determinant(g)[0]
     dg = np.stack([diff_array(g, grid, a, 1) for a in range(d)], axis=-1)
     d2g = np.zeros(grid.shape + (d, d, d, d))
     for k in range(d):

@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import differentiate, reduce_min
+from helpers import differentiate, random_spd_metric, reduce_min
 from sclab.charts import (BOUNDARY, PERIODIC, ScalarField, TensorField,
-                          diff_array, integrate, make_chart, read_snapshot,
+                          diff_array, gradient_and_hessian, integrate,
+                          inverse_and_determinant, make_chart, read_snapshot,
                           sample_field, tree_sum, write_snapshot)
-from sclab.models import flat_torus, sphere_full
+from sclab.models import flat_torus, sphere_full, spherical_shell
 
 TWO_PI = 2.0 * np.pi
+EPS = np.finfo(float).eps
 
 
 def circle(n, length=TWO_PI):
@@ -142,6 +144,48 @@ class TestDifferentiate:
         rhs = a * diff_array(f, grid, 0, 1) + b * diff_array(g, grid, 0, 1)
         assert np.max(np.abs(lhs - rhs)) <= 1e-11 * (1.0 + abs(a) + abs(b))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("data", ["random", "huge", "signed-zeros"])
+    def test_periodic_stencil_matches_rolled_formula(self, dim, data):
+        # the stencil written as whole-array rolls, operation for
+        # operation: results and the sign bits of zeros must agree
+        grid = make_chart(dim, (8, 9, 10)[:dim], (1.0, 2.0, 3.0)[:dim],
+                          PERIODIC)
+        rng = np.random.default_rng(dim)
+        v = rng.standard_normal(grid.shape + (dim, dim))
+        if data == "huge":
+            v *= 1e307
+        if data == "signed-zeros":
+            v = np.where(v < 0.0, -0.0, 0.0)
+            v[rng.random(v.shape) < 0.2] = 1.5
+        for axis in range(dim):
+            h = grid.spacing[axis]
+            up = np.roll(v, -1, axis=axis)
+            dn = np.roll(v, 1, axis=axis)
+            with np.errstate(over="ignore", invalid="ignore"):
+                wants = {1: (up - dn) / (2.0 * h),
+                         2: (up - 2.0 * v + dn) / (h * h)}
+                for order, want in wants.items():
+                    got = diff_array(v, grid, axis, order)
+                    assert np.array_equal(got, want, equal_nan=True)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_hessian_pairs_difference_the_held_gradient(self):
+        grid = make_chart(3, (8, 9, 10), (1.0, 2.0, 3.0),
+                          (PERIODIC, BOUNDARY, PERIODIC))
+        v = random_spd_metric(grid, 2).values
+        first, second = gradient_and_hessian(v, grid)
+        assert first.shape == v.shape + (3,)
+        assert sorted(second) == [(a, b) for a in range(3) for b in range(3)]
+        for a in range(3):
+            assert np.array_equal(first[..., a], diff_array(v, grid, a, 1))
+            assert np.array_equal(second[a, a], diff_array(v, grid, a, 2))
+            for b in range(a + 1, 3):
+                assert second[b, a] is second[a, b]
+                assert np.array_equal(
+                    second[a, b],
+                    diff_array(diff_array(v, grid, a, 1), grid, b, 1))
+
     def test_rejects_bad_axis_and_order(self):
         grid = circle(8)
         with pytest.raises(ValueError, match="axis"):
@@ -194,6 +238,118 @@ class TestIntegrate:
         assert tree_sum(vals) == pytest.approx(float(np.sum(vals)),
                                                rel=1e-12)
         assert tree_sum(np.zeros(0)) == 0.0
+
+
+def _near_singular_2d():
+    # condition numbers from about 20 up to 2e8
+    delta = np.logspace(-1, -8, 64).reshape(8, 8)
+    g = np.ones((8, 8, 2, 2))
+    g[..., 0, 1] = g[..., 1, 0] = 1.0 - delta
+    return g
+
+
+def _near_rank_one_3d():
+    # v v^T + e I: condition numbers up to about 6e6, where the
+    # cofactor sums cancel hardest
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal((8, 8, 3))
+    e = np.logspace(-1, -6, 64).reshape(8, 8, 1, 1)
+    return v[..., :, None] * v[..., None, :] + e * np.eye(3)
+
+
+def _diagonal_3d():
+    rng = np.random.default_rng(4)
+    return np.eye(3) * np.exp(rng.uniform(-6.0, 6.0, (8, 9, 10, 3)))[
+        ..., None, :]
+
+
+def _nonsymmetric(d):
+    # strictly diagonally dominant with a positive diagonal, so every
+    # leading minor is positive
+    rng = np.random.default_rng(6 + d)
+    return np.eye(d) + (0.4 / d) * rng.uniform(-1.0, 1.0, (8, 9, d, d))
+
+
+KERNEL_CASES = {
+    "random-1d": lambda: random_spd_metric(circle(16), 1).values,
+    "random-2d": lambda: random_spd_metric(
+        make_chart(2, (16, 12), (1.0, 1.0), PERIODIC), 2).values,
+    "random-3d": lambda: random_spd_metric(
+        make_chart(3, (8, 9, 10), (1.0, 1.0, 1.0), PERIODIC), 3).values,
+    "spherical-shell": lambda: spherical_shell(9, 12, 9,
+                                               rel_width=0.3)[1].values,
+    "diagonal": _diagonal_3d,
+    "near-singular-2d": _near_singular_2d,
+    "near-rank-one-3d": _near_rank_one_3d,
+    "nonsymmetric-2d": lambda: _nonsymmetric(2),
+    "nonsymmetric-3d": lambda: _nonsymmetric(3),
+}
+
+
+class TestInverseAndDeterminant:
+    """The closed-form kernel against LAPACK's inv and det.
+
+    Per node, with k the 2-norm condition number of the block: LAPACK's
+    LU route has residual and relative forward error of order eps k.
+    The kernel sums products of entries, and for a positive-definite
+    block those products reach about k^(d-1) times det g (each is at
+    most prod g_ii <= lambda_max^d), so its determinant, and through it
+    g g^-1 - I, carry relative rounding error up to a small multiple of
+    eps k^(d-1).  Every bound below is 8 d eps max(k, k^(d-1)).
+    """
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_matches_lapack_within_conditioning(self, case):
+        g = KERNEL_CASES[case]()
+        d = g.shape[-1]
+        inv, det = inverse_and_determinant(g)
+        kappa = np.linalg.cond(g)
+        bound = 8 * d * EPS * np.maximum(kappa, kappa ** (d - 1))
+        residual = np.abs(g @ inv - np.eye(d)).max(axis=(-2, -1))
+        assert np.all(residual <= bound)
+        ref = np.linalg.inv(g)
+        gap = (np.abs(inv - ref).max(axis=(-2, -1))
+               / np.abs(ref).max(axis=(-2, -1)))
+        assert np.all(gap <= bound)
+        ref_det = np.linalg.det(g)
+        assert np.all(np.abs(det - ref_det) <= bound * ref_det)
+
+    def test_one_dimensional_blocks_are_exact(self):
+        g = KERNEL_CASES["random-1d"]()
+        inv, det = inverse_and_determinant(g)
+        assert np.array_equal(det, g[..., 0, 0])
+        assert np.array_equal(inv[..., 0, 0], 1.0 / g[..., 0, 0])
+
+    def test_diagonal_blocks_keep_exact_zeros(self):
+        g = _diagonal_3d()
+        inv, _ = inverse_and_determinant(g)
+        off = ~np.eye(3, dtype=bool)
+        assert not np.any(inv[..., off])
+
+    def test_symmetric_blocks_give_symmetric_inverses(self):
+        g = KERNEL_CASES["random-3d"]()
+        inv, _ = inverse_and_determinant(g)
+        assert np.array_equal(inv, np.swapaxes(inv, -1, -2))
+
+    @pytest.mark.parametrize("block, node, order", [
+        ([[0.0]], (5,), 1),
+        ([[1.0, 1.0], [1.0, 1.0]], (3, 6), 2),
+        ([[-1.0, 0.0], [0.0, -1.0]], (7, 0), 1),
+        ([[1.0, 0.0, 0.9], [0.0, 1.0, 0.9], [0.9, 0.9, 1.0]], (2, 5, 1), 3),
+        ([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1e-300]],
+         (0, 7, 3), 3),
+    ])
+    def test_non_positive_minor_raises_naming_the_node(self, block, node,
+                                                       order):
+        # singular, negative-definite with det > 0, and indefinite blocks
+        # at one node of an otherwise Euclidean grid
+        d = len(block)
+        g = np.broadcast_to(np.eye(d), (8,) * d + (d, d)).copy()
+        g[node] = block
+        with pytest.raises(ValueError) as info:
+            inverse_and_determinant(g)
+        assert f"at node {node} (order-{order} leading minor" in \
+            str(info.value)
 
 
 class TestReduceMin:

@@ -1,9 +1,10 @@
 """Module layout: no sclab module imports another module's private
-names, and only charts runs stencil loops.
+names, and only charts runs stencil loops or inverts a metric.
 
 Every file under src/sclab is parsed with ast; a relative import of a
-name with a leading underscore, or a call of `diff_array` outside
-charts.py, is reported with its file and line.
+name with a leading underscore, or a call of `diff_array`,
+`np.linalg.inv` or `np.linalg.det` outside charts.py, is reported with
+its file and line.
 """
 
 import ast
@@ -42,18 +43,35 @@ def test_detector_names_file_and_line(tmp_path):
         "sample.py:4: from .charts import _hidden"]
 
 
-def stencil_calls(path: Path) -> list:
-    """`file:line: diff_array(...)` for each call of the stencil kernel."""
+def call_names(path: Path) -> list:
+    """(line, dotted name) of each call, e.g. (3, "diff_array") or
+    (7, "np.linalg.inv"); a root that is not a plain name reads "?"."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else \
-                getattr(func, "attr", None)
-            if name == "diff_array":
-                found.append(node.lineno)
-    return [f"{path.name}:{line}: diff_array(...)" for line in sorted(found)]
+            parts, func = [], node.func
+            while isinstance(func, ast.Attribute):
+                parts.append(func.attr)
+                func = func.value
+            parts.append(func.id if isinstance(func, ast.Name) else "?")
+            found.append((node.lineno, ".".join(reversed(parts))))
+    return sorted(found)
+
+
+def stencil_calls(path: Path) -> list:
+    """`file:line: diff_array(...)` for each call of the stencil kernel."""
+    return [f"{path.name}:{line}: diff_array(...)"
+            for line, name in call_names(path)
+            if name.split(".")[-1] == "diff_array"]
+
+
+def dense_inverse_calls(path: Path) -> list:
+    """`file:line: np.linalg.inv(...)` for each LAPACK inverse or
+    determinant (any call spelled `... linalg.inv` or `... linalg.det`)."""
+    return [f"{path.name}:{line}: {name}(...)"
+            for line, name in call_names(path)
+            if name.split(".")[-2:] in (["linalg", "inv"], ["linalg", "det"])]
 
 
 def test_stencil_loops_only_in_charts():
@@ -70,6 +88,30 @@ def test_stencil_detector_names_file_and_line(tmp_path):
     sample.write_text("from . import charts\nfrom .charts import diff_array\n"
                       "a = diff_array(v, g, 0, 1)\n"
                       "b = charts.diff_array(v, g, 1, 2)\n"
-                      "c = charts.gradient(v, g)\n")
+                      "c = charts.gradient(v, g)\n"
+                      "d = load().diff_array(v, g, 0, 2)\n")
     assert stencil_calls(sample) == [
-        "sample.py:3: diff_array(...)", "sample.py:4: diff_array(...)"]
+        "sample.py:3: diff_array(...)", "sample.py:4: diff_array(...)",
+        "sample.py:6: diff_array(...)"]
+
+
+def test_metric_inverses_only_in_charts():
+    paths = sorted(SOURCE.glob("*.py"))
+    assert SOURCE / "curvature.py" in paths
+    found = [line for path in paths if path.name != "charts.py"
+             for line in dense_inverse_calls(path)]
+    assert not found, "LAPACK inverse or determinant outside charts.py:\n" \
+        + "\n".join(found)
+
+
+def test_inverse_detector_names_file_and_line(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("import numpy as np\nimport scipy.sparse.linalg as sl\n"
+                      "a = np.linalg.inv(g)\n"
+                      "b = np.linalg.solve(g, r)\n"
+                      "c = sl.inv(m)\n"
+                      "d = numpy.linalg.det(\n    g)\n"
+                      "e = charts.inverse_and_determinant(g)\n")
+    assert dense_inverse_calls(sample) == [
+        "sample.py:3: np.linalg.inv(...)",
+        "sample.py:6: numpy.linalg.det(...)"]

@@ -478,6 +478,24 @@ class TestSystole:
             reference_cycle_length(graph, twice)
         assert cycle_length(graph, twice)[1] == 2
 
+    # at unit xi steps the search starts from column 0 alone, and the
+    # reference's minimum may be the same loop summed from its end in
+    # the last column: a rotation of the cycle, its sum a few ulps off
+    @pytest.mark.parametrize("res,seed,conn,axis", [
+        (res, seed, conn, axis) for res in (13, 15, 17) for seed in (0, 1)
+        for conn in (4, 8) for axis in (0, 1)])
+    def test_random_metrics_at_unit_xi_steps_match_up_to_rotation(
+            self, res, seed, conn, axis):
+        graph = random_graph(res, seed, conn, axis)
+        sigma, cycle = systole_sigma(graph)
+        ref_sigma, ref_cycle = full_radius_sigma(graph)
+        loop, ref_loop = list(cycle[:-1]), list(ref_cycle[:-1])
+        assert ref_loop[0] in loop
+        start = loop.index(ref_loop[0])
+        assert loop[start:] + loop[:start] == ref_loop
+        assert abs(sigma - ref_sigma) <= \
+            2.0 * np.spacing(max(sigma, ref_sigma))
+
     def test_searches_from_one_column_at_unit_xi_steps(self, monkeypatch):
         graph = cached(("aniso", 128, 8), lambda: aniso_graph(128, 8))
         real, calls = systole.dijkstra, []
