@@ -6,6 +6,8 @@ honest grid nodes, spacing = extent / (resolution - 1)).  Scalar and tensor
 fields store one value (or one d x ... x d component block) per node, in
 row-major node order.  Derivatives are second-order central differences,
 falling back to second-order one-sided stencils at boundary-axis edges.
+A slab is a window of one boundary axis's rows of a full chart, with the
+full chart's node coordinates; `restrict` hands full-chart fields to it.
 
 Integration weights nodes by sqrt(det g) times the cell volume (trapezoid
 half-cells at boundary-axis edges) and accumulates with a fixed pairwise
@@ -15,7 +17,7 @@ loop is scheduled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,19 +29,33 @@ MIN_RESOLUTION = 8
 
 @dataclass(frozen=True)
 class ChartGrid:
-    """Immutable description of a structured grid on a coordinate box."""
+    """Immutable description of a structured grid on a coordinate box.
+
+    A slab is the window of node rows offset[a] .. offset[a] +
+    resolution[a] - 1 of a full chart with full_resolution nodes per
+    axis; it keeps the full chart's origin, extent and spacing, so its
+    node coordinates are the full chart's bit for bit.  A full chart
+    has offset zero and full_resolution == resolution (the defaults).
+    """
 
     resolution: tuple[int, ...]
     extent: tuple[float, ...]
     topology: tuple[str, ...]
     origin: tuple[float, ...]
     spacing: tuple[float, ...]
+    offset: tuple[int, ...] = ()
+    full_resolution: tuple[int, ...] = ()
 
     def __post_init__(self):
         dim = len(self.resolution)
         if not 1 <= dim <= 3:
             raise ValueError(f"chart dimension must be 1, 2 or 3, got {dim}")
-        for t in (self.extent, self.topology, self.origin, self.spacing):
+        if not self.offset:
+            object.__setattr__(self, "offset", (0,) * dim)
+        if not self.full_resolution:
+            object.__setattr__(self, "full_resolution", self.resolution)
+        for t in (self.extent, self.topology, self.origin, self.spacing,
+                  self.offset, self.full_resolution):
             if len(t) != dim:
                 raise ValueError("resolution/extent/topology/origin/spacing "
                                  "must all have one entry per axis")
@@ -53,8 +69,15 @@ class ChartGrid:
             if self.topology[a] not in (PERIODIC, BOUNDARY):
                 raise ValueError(f"axis {a}: unknown topology "
                                  f"{self.topology[a]!r}")
-            n = self.resolution[a] if self.topology[a] == PERIODIC \
-                else self.resolution[a] - 1
+            full = self.full_resolution[a]
+            if not (0 <= self.offset[a]
+                    and self.offset[a] + self.resolution[a] <= full):
+                raise ValueError(f"axis {a}: rows {self.offset[a]} + "
+                                 f"{self.resolution[a]} exceed the "
+                                 f"{full} of the full chart")
+            if self.topology[a] == PERIODIC and self.resolution[a] != full:
+                raise ValueError(f"axis {a}: a periodic axis cannot be cut")
+            n = full if self.topology[a] == PERIODIC else full - 1
             expected = self.extent[a] / n
             if self.spacing[a] != expected:
                 raise ValueError(f"axis {a}: spacing {self.spacing[a]} "
@@ -72,50 +95,96 @@ class ChartGrid:
     def node_count(self) -> int:
         return int(np.prod(self.resolution))
 
+    @property
+    def full_chart(self) -> "ChartGrid":
+        """The chart a slab was cut from (a full chart is its own)."""
+        if self.resolution == self.full_resolution:
+            return self
+        return replace(self, resolution=self.full_resolution,
+                       offset=(0,) * self.dim)
+
     def axis_coords(self, axis: int) -> np.ndarray:
-        """Node coordinates along one axis: origin + index * spacing."""
+        """Node coordinates along one axis: origin + index * spacing,
+        the index counted in the full chart."""
+        first = self.offset[axis]
         return self.origin[axis] + self.spacing[axis] * np.arange(
-            self.resolution[axis], dtype=float)
+            first, first + self.resolution[axis], dtype=float)
 
     def coords(self) -> list[np.ndarray]:
         """Broadcast node coordinates, one full-shape array per axis."""
         axes = [self.axis_coords(a) for a in range(self.dim)]
         return list(np.meshgrid(*axes, indexing="ij"))
 
+    def halo_rows(self, axis: int) -> tuple[int, ...]:
+        """The end rows of a slab axis that the cut, not a chart end,
+        made one-sided: their stencil values differ from the full
+        chart's, and every row inside them matches it bit for bit."""
+        rows = ()
+        if self.offset[axis] > 0:
+            rows += (0,)
+        if self.offset[axis] + self.resolution[axis] < \
+                self.full_resolution[axis]:
+            rows += (self.resolution[axis] - 1,)
+        return rows
+
+    def slab(self, axis: int, first: int, last: int) -> "ChartGrid":
+        """The slab of rows first .. last along one boundary axis,
+        clipped to the chart and widened to MIN_RESOLUTION rows; the
+        chart itself when that is every row."""
+        if self.full_chart is not self:
+            raise ValueError("cut slabs from the full chart")
+        if self.topology[axis] != BOUNDARY:
+            raise ValueError(f"axis {axis}: only a boundary axis can be cut")
+        n = self.resolution[axis]
+        first, last = max(first, 0), min(last, n - 1)
+        short = max(0, MIN_RESOLUTION - (last - first + 1))
+        first = max(0, first - short // 2)
+        last = min(n - 1, max(last + short - short // 2,
+                              first + MIN_RESOLUTION - 1))
+        first = min(first, last - MIN_RESOLUTION + 1)
+        if last - first + 1 == n:
+            return self
+        resolution, offset = list(self.resolution), list(self.offset)
+        resolution[axis], offset[axis] = last - first + 1, first
+        return replace(self, resolution=tuple(resolution),
+                       offset=tuple(offset))
+
     def interior_mask(self) -> np.ndarray:
-        """True away from boundary-axis edge rows (all True on tori)."""
+        """True away from boundary-axis edge rows (all True on tori);
+        a slab's cut rows are interior."""
         mask = np.ones(self.shape, dtype=bool)
         for a in range(self.dim):
             if self.topology[a] == BOUNDARY:
-                mask[_axis_slice(self.dim, a, 0)] = False
-                mask[_axis_slice(self.dim, a, -1)] = False
+                halo = self.halo_rows(a)
+                for row in (0, self.resolution[a] - 1):
+                    if row not in halo:
+                        mask[_axis_slice(self.dim, a, row)] = False
         return mask
 
     def cell_weights(self) -> np.ndarray:
-        """Per-node coordinate cell volume; edge nodes carry half cells."""
+        """Per-node coordinate cell volume; chart-edge nodes carry half
+        cells (a slab's cut rows carry whole ones)."""
         w = np.ones(self.shape)
         for a in range(self.dim):
-            wa = np.full(self.resolution[a], self.spacing[a])
+            wa = np.full(self.full_resolution[a], self.spacing[a])
             if self.topology[a] == BOUNDARY:
                 wa[0] *= 0.5
                 wa[-1] *= 0.5
+            wa = wa[self.offset[a]:self.offset[a] + self.resolution[a]]
             shape = [1] * self.dim
             shape[a] = self.resolution[a]
             w = w * wa.reshape(shape)
         return w
 
     def drop_axis(self, axis: int) -> "ChartGrid":
-        """The codimension-one grid obtained by deleting one axis."""
+        """The codimension-one grid obtained by deleting one axis; the
+        kept axes keep their rows, cut or not."""
         if self.dim < 2:
             raise ValueError("cannot drop an axis of a 1-d chart")
         keep = [a for a in range(self.dim) if a != axis]
-        return make_chart(
-            self.dim - 1,
-            tuple(self.resolution[a] for a in keep),
-            tuple(self.extent[a] for a in keep),
-            tuple(self.topology[a] for a in keep),
-            origin=tuple(self.origin[a] for a in keep),
-        )
+        return ChartGrid(*(tuple(field[a] for a in keep) for field in (
+            self.resolution, self.extent, self.topology, self.origin,
+            self.spacing, self.offset, self.full_resolution)))
 
 
 @dataclass(frozen=True)
@@ -189,6 +258,20 @@ def sample_field(grid: ChartGrid, fn, rank: int = 0):
         raise ValueError(f"sampler returned shape {out.shape}, "
                          f"expected {want}")
     return TensorField(grid, rank, out)
+
+
+def restrict(field, grid: ChartGrid) -> np.ndarray:
+    """A field's nodal values on `grid`: its own values when it lives on
+    `grid`, a view of `grid`'s rows when it lives on the full chart
+    `grid` was cut from.  A field on any other grid raises ValueError."""
+    if field.grid == grid:
+        return field.values
+    if field.grid != grid.full_chart:
+        raise ValueError(f"field on a {field.grid.shape} grid lives on a "
+                         f"different ambient grid than {grid.shape} or the "
+                         "full chart it was cut from")
+    return field.values[tuple(slice(first, first + n) for first, n
+                              in zip(grid.offset, grid.resolution))]
 
 
 def diff_array(values: np.ndarray, grid: ChartGrid, axis: int,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .charts import (PERIODIC, ChartGrid, ScalarField, TensorField,
                      gradient_and_hessian, integrate,
-                     inverse_and_determinant, make_chart)
+                     inverse_and_determinant, make_chart, restrict)
 
 
 @dataclass(frozen=True)
@@ -133,11 +133,11 @@ class PotentialDerivatives:
 
 def potential_derivatives(bundle: CurvatureBundle,
                           phi: ScalarField) -> PotentialDerivatives:
+    """Derivatives of phi on the bundle's grid; phi may live there or on
+    the full chart that grid was cut from."""
     grid = bundle.grid
     d = grid.dim
-    if phi.grid != grid:
-        raise ValueError("potential lives on a different grid")
-    dphi, d2phi = gradient_and_hessian(phi.values, grid)
+    dphi, d2phi = gradient_and_hessian(restrict(phi, grid), grid)
 
     hess = np.zeros(grid.shape + (d, d))
     for i in range(d):

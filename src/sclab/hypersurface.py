@@ -6,6 +6,17 @@ by linear interpolation along that single axis (the slice coordinates
 stay on-node), then differentiated on the slice grid, so every term in
 an identity shares the same second-order accuracy budget.
 
+Ambient curvature lives on a slab of the chart, not the whole box: the
+graph-axis rows the graphs' interpolation reads, plus one halo row on
+each side, clipped at the chart ends and widened to MIN_RESOLUTION rows
+(a periodic graph axis is read whole).  A foliation builds one slab
+over all its leaves, and the chart walls of a leaf live on it too.  A
+halo row is one whose graph-axis stencil is one-sided only because of
+the cut; every row inside the halo carries the whole chart's stencil
+values bit for bit, so a sampler that would read a halo row raises
+instead.  Ambient fields given on the whole chart are restricted to the
+slab by `charts.restrict`.
+
 Sign conventions: h(X, Y) = g(grad_X nu, Y), so the round sphere with
 outward normal has H = +2/r, and a convex boundary circle of radius r
 has curvature +1/r.
@@ -17,6 +28,7 @@ import numpy as np
 
 from .charts import (
     BOUNDARY,
+    PERIODIC,
     ChartGrid,
     ScalarField,
     TensorField,
@@ -24,6 +36,8 @@ from .charts import (
     gradient_and_hessian,
     integrate,
     inverse_and_determinant,
+    node_tuple,
+    restrict,
     sample_field,
 )
 from .curvature import (
@@ -53,6 +67,10 @@ class GraphSampler:
 
         Trailing component axes ride along untouched.
         """
+        if values.shape[:self.ambient.dim] != self.ambient.shape:
+            raise ValueError(f"nodal array of shape "
+                             f"{values.shape[:self.ambient.dim]} does not "
+                             f"live on the {self.ambient.shape} ambient grid")
         base = np.indices(self.index_low.shape)
         rows = list(base)
         rows.insert(self.axis, self.index_low)
@@ -68,18 +86,30 @@ def _make_sampler(ambient: ChartGrid, axis: int,
                   heights: np.ndarray) -> GraphSampler:
     h = ambient.spacing[axis]
     n = ambient.resolution[axis]
-    t = (heights - ambient.origin[axis]) / h
+    # rows count from the slab's first one; taking the integer offset off
+    # the full chart's row coordinate is exact, so the weights are the
+    # full chart's bit for bit
+    t = (heights - ambient.origin[axis]) / h - ambient.offset[axis]
     if ambient.topology[axis] == BOUNDARY:
         slack = 1e-9
         if np.any(t < -slack) or np.any(t > n - 1 + slack):
+            nodes = ambient.axis_coords(axis)
             raise ValueError(
                 f"graph leaves the ambient chart along axis {axis}: "
                 f"height range [{heights.min():.6g}, {heights.max():.6g}] "
-                f"vs node range [{ambient.origin[axis]:.6g}, "
-                f"{ambient.origin[axis] + ambient.extent[axis]:.6g}]")
+                f"vs node range [{nodes[0]:.6g}, {nodes[-1]:.6g}]")
         t = np.clip(t, 0.0, float(n - 1))
         low = np.minimum(np.floor(t).astype(int), n - 2)
         high = low + 1
+        for row in ambient.halo_rows(axis):
+            reads = (low == row) | (high == row)
+            if reads.any():
+                node = node_tuple(np.argmax(reads), reads.shape)
+                raise ValueError(
+                    f"graph reads halo row {row} of the ambient slab along "
+                    f"axis {axis} at slice node {node} (height "
+                    f"{heights[node]:.6g}); build the slab around the new "
+                    "heights")
     else:
         cell = np.floor(t).astype(int)
         low = cell % n
@@ -88,11 +118,47 @@ def _make_sampler(ambient: ChartGrid, axis: int,
     return GraphSampler(ambient, axis, low, high, t - low)
 
 
+def _graph_axis(grid: ChartGrid, graph_axis: int | None) -> int:
+    if graph_axis is None:
+        return grid.dim - 1
+    if not 0 <= graph_axis < grid.dim:
+        raise ValueError(f"graph axis {graph_axis} out of range for dim "
+                         f"{grid.dim}")
+    return graph_axis
+
+
+def _height_field(slice_grid: ChartGrid, height) -> ScalarField:
+    if callable(height):
+        height = sample_field(slice_grid, height)
+    if height.grid != slice_grid:
+        raise ValueError("height field does not live on the slice grid "
+                         "of the chosen graph axis")
+    return height
+
+
+def _slab_bundle(metric: TensorField, axis: int,
+                 heights: list) -> CurvatureBundle:
+    """The metric's curvature bundle on the slab that graphs of these
+    heights over `axis` read (see the module docstring).  A grid that
+    is already a slab is taken as it is."""
+    grid = metric.grid
+    ambient = grid
+    if grid.topology[axis] != PERIODIC and grid.full_chart is grid:
+        samplers = [_make_sampler(grid, axis, w) for w in heights]
+        ambient = grid.slab(
+            axis, min(int(s.index_low.min()) for s in samplers) - 1,
+            max(int(s.index_high.max()) for s in samplers) + 1)
+    return curvature_bundle(TensorField(ambient, 2,
+                                        restrict(metric, ambient)))
+
+
 @dataclass(frozen=True)
 class HypersurfaceEmbedding:
     """Graph of a height field, with its first and second fundamental data.
 
-    normal / normal_covector are the g-unit normal in ambient components
+    ambient_grid, ambient_metric and ambient_bundle live on the slab of
+    the chart the graph reads (or on the whole chart).  normal /
+    normal_covector are the g-unit normal in ambient components
     (contravariant / covariant).  tangent_frame holds the pushforward
     E^i_a of the slice coordinate vectors.  boundary_normal maps a
     boundary slice axis and side (0 low, 1 high) to the outward unit
@@ -117,9 +183,10 @@ class HypersurfaceEmbedding:
     boundary_normal: dict
 
     def sample(self, values) -> np.ndarray:
-        """Ambient nodal array (or field) sampled at the graph points."""
+        """Ambient nodal array, or a field on the ambient slab or on the
+        full chart, sampled at the graph points."""
         if isinstance(values, (ScalarField, TensorField)):
-            values = values.values
+            values = restrict(values, self.ambient_grid)
         return self.sampler.take(values)
 
     def sample_nn(self, tensor) -> np.ndarray:
@@ -134,25 +201,23 @@ def embed_graph(metric: TensorField, height, graph_axis: int | None = None,
     """Build the graph hypersurface x_axis = height(slice coordinates).
 
     orientation +1 points the unit normal toward increasing graph
-    coordinate, -1 toward decreasing.
+    coordinate, -1 toward decreasing.  The ambient chart is the grid of
+    `bundle`, a slab of the metric's chart or the chart itself; without
+    one, the bundle is built on the slab this graph reads.
     """
-    grid = metric.grid
-    d = grid.dim
-    if graph_axis is None:
-        graph_axis = d - 1
-    if not 0 <= graph_axis < d:
-        raise ValueError(f"graph axis {graph_axis} out of range for dim {d}")
+    graph_axis = _graph_axis(metric.grid, graph_axis)
     if orientation not in (1, -1):
         raise ValueError(f"orientation must be +1 or -1, got {orientation}")
     if bundle is None:
-        bundle = curvature_bundle(metric)
+        height = _height_field(metric.grid.drop_axis(graph_axis), height)
+        bundle = _slab_bundle(metric, graph_axis, [height.values])
+    elif bundle.grid.full_chart != metric.grid.full_chart:
+        raise ValueError("curvature bundle lives on a different chart")
+    grid, metric = bundle.grid, bundle.metric
+    d = grid.dim
 
     slice_grid = grid.drop_axis(graph_axis)
-    if callable(height):
-        height = sample_field(slice_grid, height)
-    if height.grid != slice_grid:
-        raise ValueError("height field does not live on the slice grid "
-                         "of the chosen graph axis")
+    height = _height_field(slice_grid, height)
     kept = [a for a in range(d) if a != graph_axis]
     ds = d - 1
 
@@ -229,10 +294,10 @@ def embed_graph(metric: TensorField, height, graph_axis: int | None = None,
 def weighted_mean_curvature(emb: HypersurfaceEmbedding,
                             potential: PotentialDerivatives) -> ScalarField:
     """H + <grad phi, nu> at each graph node, with grad phi read off the
-    log-density's ambient `potential_derivatives`."""
-    if potential.grid != emb.ambient_grid:
-        raise ValueError("log-density lives on a different ambient grid")
-    normal_part = np.einsum("...i,...i->...", emb.sample(potential.gradient),
+    log-density's ambient `potential_derivatives` (on the ambient slab
+    or on the full chart)."""
+    grad = TensorField(potential.grid, 1, potential.gradient)
+    normal_part = np.einsum("...i,...i->...", emb.sample(grad),
                             emb.normal, optimize=False)
     return ScalarField(emb.slice_grid,
                        emb.mean_curvature.values + normal_part)
@@ -254,8 +319,7 @@ def gauss_identity_sides(emb: HypersurfaceEmbedding, rho: ScalarField,
     through the stability-operator terms, so their agreement is a real
     cross-check rather than an algebraic tautology.
     """
-    if rho.grid != emb.ambient_grid:
-        raise ValueError("density lives on a different ambient grid")
+    rho_amb = restrict(rho, emb.ambient_grid)
     if u.grid != emb.slice_grid:
         raise ValueError("surface weight lives on a different slice grid")
     if np.any(rho.values <= 0.0):
@@ -264,7 +328,7 @@ def gauss_identity_sides(emb: HypersurfaceEmbedding, rho: ScalarField,
         raise ValueError("surface weight must be positive")
 
     amb = emb.ambient_bundle
-    log_rho = ScalarField(emb.ambient_grid, np.log(rho.values))
+    log_rho = ScalarField(emb.ambient_grid, np.log(rho_amb))
     amb_pot = potential_derivatives(amb, log_rho)
 
     rho_s = emb.sample(rho)
@@ -314,8 +378,6 @@ def gauss_identity_residual(emb: HypersurfaceEmbedding, rho: ScalarField,
 
 def weighted_area(emb: HypersurfaceEmbedding, phi: ScalarField) -> float:
     """Integral of e^phi over the hypersurface in its induced metric."""
-    if phi.grid != emb.ambient_grid:
-        raise ValueError("log-density lives on a different ambient grid")
     return integrate(ScalarField(emb.slice_grid, np.exp(emb.sample(phi))),
                      emb.induced_metric)
 
@@ -328,8 +390,9 @@ class GraphFoliation:
     weighted_H is H + <grad phi, nu> per slice, for the log-density phi
     the foliation was built with; an unweighted foliation carries the
     zero field, which gives weighted_H = H.  potential holds phi's
-    ambient derivatives on the slices' shared ambient bundle, computed
-    once with the foliation; every leaf-level check reads them here.
+    ambient derivatives on the slices' shared ambient bundle, on the one
+    slab all leaves read, computed once with the foliation; every
+    leaf-level check reads them here.
     """
 
     times: tuple
@@ -351,7 +414,10 @@ def make_graph_foliation(metric: TensorField, times, heights,
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("slice parameters must be strictly increasing")
 
-    bundle = curvature_bundle(metric)
+    graph_axis = _graph_axis(metric.grid, graph_axis)
+    slice_grid = metric.grid.drop_axis(graph_axis)
+    heights = [_height_field(slice_grid, h) for h in heights]
+    bundle = _slab_bundle(metric, graph_axis, [h.values for h in heights])
     potential = potential_derivatives(bundle, phi)
     slices = [embed_graph(metric, h, graph_axis, orientation, bundle=bundle)
               for h in heights]
@@ -457,14 +523,13 @@ def boundary_trace_identity(emb: HypersurfaceEmbedding, rho: ScalarField,
     if emb.slice_grid.dim < 2:
         raise ValueError("boundary faces of a 1-d slice are points; "
                          "no face curvature is defined")
-    if rho.grid != emb.ambient_grid or phi.grid != emb.ambient_grid:
-        raise ValueError("density and log-density must live on the "
-                         "ambient grid")
+    rho_s = emb.sample(rho)
+    phi_amb = restrict(phi, emb.ambient_grid)
     if np.any(rho.values <= 0.0):
         raise ValueError("density must be positive")
 
-    grad_rho_s = gradient(np.log(emb.sample(rho)), emb.slice_grid)
-    dphi_s = emb.sample(gradient(phi.values, emb.ambient_grid))
+    grad_rho_s = gradient(np.log(rho_s), emb.slice_grid)
+    dphi_s = emb.sample(gradient(phi_amb, emb.ambient_grid))
     slice_bundle = curvature_bundle(emb.induced_metric)
 
     out = {}

@@ -27,6 +27,8 @@ from .charts import (
     ScalarField,
     TensorField,
     inverse_and_determinant,
+    node_tuple,
+    restrict,
     tree_sum,
 )
 from .curvature import curvature_bundle, potential_derivatives
@@ -212,19 +214,46 @@ def assemble_drift_operator(grid: ChartGrid, metric: TensorField,
                            np.asarray(potential, dtype=float), robin)
 
 
+# Largest contact residual |<N_wall, nu>| the Robin datum admits.  It
+# is an inner product of unit (co)vectors, like the orthonormality gaps
+# embed_graph bounds by 1e-10, and an orthogonal contact leaves only
+# rounding in it (exactly 0 for a constant-height leaf of a diagonal
+# metric).  The datum drops that component of nu, which moves
+# h_wall(nu, nu) by O(residual): at 1e-10 that stays two orders under
+# the 1e-8 residual bound of the principal eigenpair.
+CONTACT_TOL = 1e-10
+
+
 def _wall_robin_data(emb: HypersurfaceEmbedding, axis: int,
                      side: int) -> np.ndarray:
     """h_wall(nu, nu) on one boundary face of the slice grid.
 
     The hypersurface normal is carried into wall coordinates by dropping
-    its (assumed negligible) wall-normal component, which is exact when
-    the hypersurface meets the wall orthogonally.
+    its wall-normal component, which is exact when the hypersurface
+    meets the wall orthogonally.  That component, the contact residual
+    |<N_wall, nu>| against the wall's unit normal covector at the
+    contact points, is measured first; above CONTACT_TOL the first
+    offending node of the face raises ValueError.
     """
     wall, sampler = chart_wall(emb, axis, side)
+    nu_face = np.take(emb.normal, -1 if side else 0, axis=axis)
+    contact = np.abs(np.einsum("...i,...i->...",
+                               sampler.take(wall.normal_covector), nu_face,
+                               optimize=False))
+    if contact.max() > CONTACT_TOL:
+        at = int(np.argmax(contact > CONTACT_TOL))
+        face = node_tuple(at, contact.shape)
+        node = face[:axis] + (emb.slice_grid.shape[axis] - 1 if side
+                              else 0,) + face[axis:]
+        raise ValueError(
+            f"hypersurface meets the chart wall (axis {axis}, side {side}) "
+            f"at slice node {node} with contact residual "
+            f"{contact[face]:.3e} > {CONTACT_TOL:.0e}: not a free-boundary "
+            "contact")
     h_wall = sampler.take(wall.second_fundamental.values)
     wall_axes = [i for i in range(emb.ambient_grid.dim)
                  if i != wall.graph_axis]
-    nu_wall = np.take(emb.normal, -1 if side else 0, axis=axis)[..., wall_axes]
+    nu_wall = nu_face[..., wall_axes]
     return np.einsum("...cd,...c,...d->...", h_wall, nu_wall, nu_wall,
                      optimize=False)
 
@@ -238,12 +267,11 @@ def assemble_jacobi(emb: HypersurfaceEmbedding,
     Robin datum on each chart wall is the wall's second fundamental
     form on (nu, nu).
     """
-    if rho.grid != emb.ambient_grid:
-        raise ValueError("density lives on a different ambient grid")
+    rho_amb = restrict(rho, emb.ambient_grid)
     if np.any(rho.values <= 0.0):
         raise ValueError("density must be positive")
 
-    log_rho = ScalarField(emb.ambient_grid, np.log(rho.values))
+    log_rho = ScalarField(emb.ambient_grid, np.log(rho_amb))
     amb_pot = potential_derivatives(emb.ambient_bundle, log_rho)
     potential = (-emb.sample_nn(emb.ambient_bundle.ricci)
                  - second_fundamental_norm_sq(emb)

@@ -238,6 +238,12 @@ def cycle_length(graph: WindingGraph, cycle) -> tuple[float, int]:
     by its tail * N + head key; lengths are added in walk order, as a
     shortest-path search accumulates them along its path.
     """
+    steps, winding = _walk_steps(graph, cycle)
+    return float(np.add.accumulate(steps)[-1]), int(winding.sum())
+
+
+def _walk_steps(graph: WindingGraph, cycle) -> tuple[np.ndarray, np.ndarray]:
+    """Edge length and winding of each step of a closed node walk."""
     walk = np.asarray(cycle, dtype=np.int64)
     if walk.size < 2 or walk[0] != walk[-1]:
         raise ValueError("cycle must be a closed walk (first node == last)")
@@ -259,8 +265,7 @@ def cycle_length(graph: WindingGraph, cycle) -> tuple[float, int]:
     edge = found % edges
     winding = np.where(found < edges, graph.winding[edge],
                        -graph.winding[edge])
-    length = float(np.add.accumulate(graph.length[edge])[-1])
-    return length, int(winding.sum())
+    return graph.length[edge], winding
 
 
 def systole_sigma(graph: WindingGraph) -> tuple[float, tuple[int, ...]]:
@@ -289,10 +294,19 @@ def systole_sigma(graph: WindingGraph) -> tuple[float, tuple[int, ...]]:
     index order, limited by the best loop so far; ties break to the
     lowest source index.  sigma is that search's path sum, not the
     two-half estimate.  The cheapest pure-xi loop seeds `best`.  The
-    reported cycle is walked again by `cycle_length` and must give
-    sigma (to 1e-12 relative) with winding +-1.  The result is an upper
-    bound for the continuum systole; see `quantization_bound` for the
-    stencil's worst-case slack.
+    reported cycle is walked again and must give sigma (to 1e-12
+    relative) with winding +-1.
+
+    With unit xi steps the cycle also passes through xi column n - 1,
+    and a search from there would sum the same loop from another start,
+    which can round differently.  So the walk's own step lengths are
+    summed again, in walk order, from each of its last-column nodes;
+    sigma is the least of these sums and the search's, ties going to the
+    lowest start node, and the cycle is rotated to start there.  That
+    is what full searches from every node of both end columns return,
+    with no further search.  The result is an upper bound for the
+    continuum systole; see `quantization_bound` for the stencil's
+    worst-case slack.
     """
     n = graph.node_count
     shape = graph.grid.shape
@@ -346,12 +360,22 @@ def systole_sigma(graph: WindingGraph) -> tuple[float, tuple[int, ...]]:
             raise RuntimeError("shortest-path tree lost the source")
     cycle.append(best_node)
     cycle.reverse()
-    length, winding = cycle_length(graph, cycle)
+    steps, winding = _walk_steps(graph, cycle)
+    length, winding = float(np.add.accumulate(steps)[-1]), int(winding.sum())
     if abs(length - best_len) > 1e-12 * best_len or abs(winding) != 1:
         raise RuntimeError(
             f"systole cycle from cut node {node_tuple(best_node, shape)} "
             f"walks to length {length!r} with winding {winding}, not to "
             f"sigma {best_len!r} with winding +-1")
+    if step == 1:
+        loop = np.asarray(cycle[:-1])
+        last = np.unravel_index(loop, shape)[graph.xi_axis] == n_xi - 1
+        start = 0
+        for k in np.flatnonzero(last).tolist():
+            total = float(np.add.accumulate(np.roll(steps, -k))[-1])
+            if (total, cycle[k]) < (best_len, cycle[start]):
+                best_len, start = total, k
+        cycle = cycle[start:-1] + cycle[:start + 1]
     return best_len, tuple(cycle)
 
 

@@ -15,7 +15,8 @@ import scipy.sparse as sparse
 from scipy.sparse.csgraph import dijkstra
 
 import sclab
-from sclab import systole
+from sclab import hypersurface, systole
+from sclab.curvature import curvature_bundle, potential_derivatives
 from sclab.charts import ChartGrid, ScalarField, TensorField, diff_array, \
     inverse_and_determinant, node_tuple
 
@@ -113,10 +114,9 @@ def full_radius_sigma(graph) -> tuple[float, tuple[int, ...]]:
     only from the sources whose half-radius estimate is least.  At
     connectivity 16 both start from the first and last xi columns and
     must agree bit for bit, in sigma and in the cycle.  At connectivity
-    4 and 8 systole_sigma starts from column 0 alone, while the minimum
-    here may be the same loop summed from its last-column end: there
-    the contract is the same loop, started at another node, with sigma
-    within 2 ulps.
+    4 and 8 systole_sigma searches from column 0 alone and sums its
+    loop again from each last-column node on it; sigma must agree bit
+    for bit, and the cycle up to rotation.
     """
     n = graph.node_count
     n0, n1 = graph.grid.shape
@@ -146,6 +146,32 @@ def full_radius_sigma(graph) -> tuple[float, tuple[int, ...]]:
             raise RuntimeError("shortest-path tree lost the source")
     cycle.append(best_node)
     return best_len, tuple(reversed(cycle))
+
+
+def box_bundle_foliation(metric: TensorField, times, heights,
+                         phi: ScalarField, graph_axis: int):
+    """The foliation of make_graph_foliation, with every leaf reading the
+    curvature bundle and phi's derivatives of the whole chart.
+
+    The reference for make_graph_foliation, which builds both on the
+    slab of rows its leaves read, plus a halo: every leaf-strand output
+    must agree bit for bit.
+    """
+    bundle = curvature_bundle(metric)
+    potential = potential_derivatives(bundle, phi)
+    slices = [hypersurface.embed_graph(metric, h, graph_axis, bundle=bundle)
+              for h in heights]
+    speed = np.gradient(np.stack([s.graph_height.values for s in slices]),
+                        np.asarray(times, dtype=float), axis=0,
+                        edge_order=2)
+    lapse = [ScalarField(s.slice_grid,
+                         speed[k] * s.normal_covector[..., graph_axis])
+             for k, s in enumerate(slices)]
+    weighted = [hypersurface.weighted_mean_curvature(s, potential)
+                for s in slices]
+    return hypersurface.GraphFoliation(
+        tuple(float(t) for t in times), tuple(slices), tuple(lapse),
+        tuple(weighted), phi, potential)
 
 
 def dense_ricci_scalar(metric: TensorField) -> tuple:
@@ -208,13 +234,16 @@ def reference_weighted_mean_curvature(emb, phi: ScalarField) -> np.ndarray:
     """H + <grad phi, nu> per leaf node, grad phi differentiated afresh.
 
     The reference for foliations, which read grad phi off the potential
-    derivatives they compute once: both must agree bit for bit.
+    derivatives they compute once on the leaves' ambient slab: both
+    must agree bit for bit.  Here phi is differentiated on its own grid,
+    the whole chart.
     """
-    grid = emb.ambient_grid
+    grid = phi.grid
     dphi = np.stack([diff_array(phi.values, grid, i, 1)
                      for i in range(grid.dim)], axis=-1)
     return emb.mean_curvature.values + np.einsum(
-        "...i,...i->...", emb.sample(dphi), emb.normal, optimize=False)
+        "...i,...i->...", emb.sample(TensorField(grid, 1, dphi)),
+        emb.normal, optimize=False)
 
 
 def dense_tensor_norm_sq(inverse: np.ndarray, tensor: np.ndarray):

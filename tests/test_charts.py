@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import differentiate, random_spd_metric, reduce_min
-from sclab.charts import (BOUNDARY, PERIODIC, ScalarField, TensorField,
-                          diff_array, gradient_and_hessian, integrate,
-                          inverse_and_determinant, make_chart, read_snapshot,
-                          sample_field, tree_sum, write_snapshot)
+from sclab.charts import (BOUNDARY, MIN_RESOLUTION, PERIODIC, ScalarField,
+                          TensorField, diff_array, gradient_and_hessian,
+                          integrate, inverse_and_determinant, make_chart,
+                          read_snapshot, restrict, sample_field, tree_sum,
+                          write_snapshot)
 from sclab.models import flat_torus, sphere_full, spherical_shell
 
 TWO_PI = 2.0 * np.pi
@@ -63,6 +64,71 @@ class TestMakeChart:
         grid = make_chart(1, (9,), (2.0,), BOUNDARY, origin=(3.0,))
         assert grid.axis_coords(0)[0] == 3.0
         assert grid.axis_coords(0)[-1] == 5.0
+
+
+class TestSlab:
+    def shell(self):
+        return spherical_shell(9, 8, 41, rel_width=0.3)
+
+    def test_keeps_spacing_and_coordinates_bit_for_bit(self):
+        grid, _ = self.shell()
+        slab = grid.slab(2, 10, 31)
+        assert slab.shape == (9, 8, 22)
+        assert slab.spacing == grid.spacing
+        assert slab.offset == (0, 0, 10)
+        assert slab.full_chart == grid
+        assert np.array_equal(slab.axis_coords(2),
+                              grid.axis_coords(2)[10:32])
+        for full, cut in zip(grid.coords(), slab.coords()):
+            assert np.array_equal(full[..., 10:32], cut)
+        assert np.array_equal(slab.cell_weights(),
+                              grid.cell_weights()[..., 10:32])
+        assert np.array_equal(slab.interior_mask(),
+                              grid.interior_mask()[..., 10:32])
+        assert slab.halo_rows(2) == (0, 21)
+        assert slab.halo_rows(0) == ()
+
+    def test_clips_at_chart_ends_and_pads_to_the_minimum(self):
+        grid, _ = self.shell()
+        low = grid.slab(2, -1, 4)
+        assert (low.offset[2], low.shape[2]) == (0, MIN_RESOLUTION)
+        assert low.halo_rows(2) == (MIN_RESOLUTION - 1,)
+        high = grid.slab(2, 38, 41)
+        assert (high.offset[2], high.shape[2]) == (33, MIN_RESOLUTION)
+        assert high.halo_rows(2) == (0,)
+        mid = grid.slab(2, 20, 22)
+        assert mid.shape[2] == MIN_RESOLUTION
+        assert mid.offset[2] <= 20 and mid.offset[2] + 7 >= 22
+        assert grid.slab(2, -1, 41) is grid
+
+    def test_dropping_the_cut_axis_gives_the_full_slice_grid(self):
+        grid, _ = self.shell()
+        slab = grid.slab(2, 10, 31)
+        assert slab.drop_axis(2) == grid.drop_axis(2)
+        wall = slab.drop_axis(0)
+        assert wall.offset == (0, 10)
+        assert wall.full_chart == grid.drop_axis(0)
+
+    def test_rejects_periodic_axes_and_slabs_of_slabs(self):
+        grid, _ = self.shell()
+        with pytest.raises(ValueError, match="boundary axis"):
+            grid.slab(1, 0, 3)
+        with pytest.raises(ValueError, match="full chart"):
+            grid.slab(2, 10, 31).slab(2, 2, 12)
+
+    def test_restrict_slices_parent_fields_and_rejects_others(self):
+        grid, metric = self.shell()
+        slab = grid.slab(2, 10, 31)
+        view = restrict(metric, slab)
+        assert np.shares_memory(view, metric.values)
+        assert np.array_equal(view, metric.values[:, :, 10:32])
+        on_slab = TensorField(slab, 2, view)
+        assert restrict(on_slab, slab) is on_slab.values
+        other = grid.slab(2, 0, 21)
+        with pytest.raises(ValueError, match="different ambient grid"):
+            restrict(on_slab, other)
+        with pytest.raises(ValueError, match="different ambient grid"):
+            restrict(ScalarField(circle(16), np.zeros(16)), slab)
 
 
 class TestSampleField:

@@ -349,7 +349,7 @@ class TestFoliationPotential:
         heights = [lambda t, p, c=c: c + 0.02 * np.sin(p) * np.cos(t)
                    for c in times]
         fol = make_graph_foliation(metric, times, heights, phi, graph_axis=2)
-        assert fol.potential.grid == grid
+        assert fol.potential.grid.full_chart == grid
         for emb, wh in zip(fol.slices, fol.weighted_H):
             assert np.array_equal(wh.values,
                                   reference_weighted_mean_curvature(emb, phi))
@@ -363,7 +363,7 @@ class TestFoliationPotential:
         real = charts.diff_array
 
         def recording(values, on_grid, *rest):
-            on_ambient.append(on_grid == grid)
+            on_ambient.append(on_grid.full_chart == grid)
             return real(values, on_grid, *rest)
 
         patch_every_binding(monkeypatch, real, recording)

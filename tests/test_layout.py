@@ -1,10 +1,11 @@
 """Module layout: no sclab module imports another module's private
-names, and only charts runs stencil loops or inverts a metric.
+names, and only charts runs stencil loops, inverts a metric or builds
+a grid.
 
 Every file under src/sclab is parsed with ast; a relative import of a
 name with a leading underscore, or a call of `diff_array`,
-`np.linalg.inv` or `np.linalg.det` outside charts.py, is reported with
-its file and line.
+`np.linalg.inv`, `np.linalg.det` or `ChartGrid` outside charts.py, is
+reported with its file and line.
 """
 
 import ast
@@ -115,3 +116,34 @@ def test_inverse_detector_names_file_and_line(tmp_path):
     assert dense_inverse_calls(sample) == [
         "sample.py:3: np.linalg.inv(...)",
         "sample.py:6: numpy.linalg.det(...)"]
+
+
+def grid_constructions(path: Path) -> list:
+    """`file:line: ChartGrid(...)` for each direct grid construction."""
+    return [f"{path.name}:{line}: ChartGrid(...)"
+            for line, name in call_names(path)
+            if name.split(".")[-1] == "ChartGrid"]
+
+
+def test_grids_are_built_only_in_charts():
+    # make_chart, slab and drop_axis all pass the one spacing check in
+    # ChartGrid.__post_init__; a grid built elsewhere could bypass them
+    paths = sorted(SOURCE.glob("*.py"))
+    assert SOURCE / "hypersurface.py" in paths
+    found = [line for path in paths if path.name != "charts.py"
+             for line in grid_constructions(path)]
+    assert not found, "ChartGrid built outside charts.py:\n" + \
+        "\n".join(found)
+    assert grid_constructions(SOURCE / "charts.py")
+
+
+def test_grid_detector_names_file_and_line(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("from .charts import ChartGrid, make_chart\n"
+                      "a = ChartGrid((8,), (1.0,), ('periodic',),\n"
+                      "              (0.0,), (0.125,))\n"
+                      "b = make_chart(1, 8, 1.0, 'periodic')\n"
+                      "c = charts.ChartGrid(*fields)\n"
+                      "d = isinstance(g, ChartGrid)\n")
+    assert grid_constructions(sample) == [
+        "sample.py:2: ChartGrid(...)", "sample.py:5: ChartGrid(...)"]

@@ -16,10 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from helpers import dense_principal_eigenvalue
-from sclab import spectral
-from sclab.charts import BOUNDARY, PERIODIC, ScalarField, make_chart
-from sclab.hypersurface import embed_graph, make_graph_foliation
+from helpers import box_bundle_foliation, dense_principal_eigenvalue, \
+    patch_every_binding
+from sclab import curvature, spectral
+from sclab.charts import (BOUNDARY, PERIODIC, ScalarField, TensorField,
+                          make_chart)
+from sclab.hypersurface import (
+    boundary_trace_identity,
+    embed_graph,
+    gauss_identity_sides,
+    make_graph_foliation,
+    weighted_area_variation,
+)
 from sclab.models import (
     _diag_metric,
     cylindrical_shell,
@@ -381,3 +389,168 @@ class TestEigenreport:
         assert fields[0] == "circle-drift"
         assert float(fields[1]) == pair.eigenvalue
         assert int(fields[3]) == pair.iterations
+
+
+def leaf_strand(fol, rho, middle):
+    """Every leaf-strand output of a foliation, as plain arrays."""
+    check = lapse_residual(fol)
+    var = weighted_area_variation(fol)
+    leaf = fol.slices[middle]
+    pair = principal_eigenpair(assemble_jacobi(leaf, rho))
+    traces = boundary_trace_identity(leaf, rho, fol.log_density)
+    out = {"mu": check.mu, "area": var.area, "area_rate": var.area_rate,
+           "variation": var.variation, "eigenvalue": pair.eigenvalue,
+           "eigenfunction": pair.eigenfunction.values}
+    for k, residual in enumerate(check.residuals):
+        out[f"lapse_residual_{k}"] = residual.values
+    for (axis, side), face in traces.items():
+        out[f"trace_{axis}_{side}"] = np.stack([face.lhs, face.rhs])
+    return out
+
+
+class TestAmbientSlab:
+    """Leaves read curvature on the slab of rows they need plus a halo,
+    and every output equals the whole-chart bundle's bit for bit."""
+
+    C = 0.3
+
+    def shell(self):
+        grid, metric = spherical_shell(17, 16, 33, rel_width=0.3)
+        phi = ScalarField(grid, self.C * grid.coords()[2] ** 2)
+        return grid, metric, phi, ScalarField(grid, np.exp(phi.values))
+
+    @pytest.mark.parametrize("radii,cut", [
+        ((0.96, 1.0075, 1.04), (True, True)),     # inside the shell
+        ((0.7, 0.73, 0.76), (False, True)),       # clipped at the low end
+        ((0.7, 1.0, 1.3), (False, False)),        # spanning: whole chart
+    ], ids=["inside", "low-end", "spanning"])
+    def test_slab_outputs_equal_the_box_bundle(self, radii, cut):
+        grid, metric, phi, rho = self.shell()
+        heights = [lambda t, p, r=r: np.full(t.shape, r) for r in radii]
+        fol = make_graph_foliation(metric, radii, heights, phi,
+                                   graph_axis=2)
+        slab = fol.slices[0].ambient_grid
+        last = slab.resolution[2] - 1
+        assert slab.full_chart == grid
+        assert slab.halo_rows(2) == tuple(
+            row for row, is_cut in zip((0, last), cut) if is_cut)
+        assert (slab == grid) == (cut == (False, False))
+        assert all(emb.ambient_grid == slab for emb in fol.slices)
+        ref = box_bundle_foliation(metric, radii, heights, phi, 2)
+        for k, (emb, box) in enumerate(zip(fol.slices, ref.slices)):
+            assert np.array_equal(fol.weighted_H[k].values,
+                                  ref.weighted_H[k].values)
+            assert np.array_equal(fol.lapse[k].values, ref.lapse[k].values)
+            assert np.array_equal(emb.mean_curvature.values,
+                                  box.mean_curvature.values)
+        got, want = leaf_strand(fol, rho, 1), leaf_strand(ref, rho, 1)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+
+    def test_tilted_leaves_on_a_generic_metric_equal_the_box_bundle(self):
+        # cross terms and a non-constant height reach every Christoffel
+        # symbol and Hessian entry; the contact residual rules out the
+        # Jacobi operator here, the rest of the strand is compared
+        grid, metric = spherical_shell(17, 16, 33, rel_width=0.3)
+        t, p, r = grid.coords()
+        g = metric.values * (1.0 + 0.1 * np.sin(t) * np.cos(p) * r)[
+            ..., None, None]
+        g[..., 0, 2] = g[..., 2, 0] = 0.02 * np.cos(t) * np.sin(p)
+        metric = TensorField(grid, 2, g)
+        phi = ScalarField(grid, 0.3 * r * r + 0.1 * np.sin(t + p))
+        rho = ScalarField(grid, np.exp(phi.values))
+        times = (0.95, 1.0, 1.05)
+        heights = [lambda t, p, c=c: c + 0.02 * np.sin(p) * np.cos(t)
+                   for c in times]
+        fol = make_graph_foliation(metric, times, heights, phi,
+                                   graph_axis=2)
+        slab = fol.slices[0].ambient_grid
+        assert slab.halo_rows(2) == (0, slab.resolution[2] - 1)
+        ref = box_bundle_foliation(metric, times, heights, phi, 2)
+        var, ref_var = (weighted_area_variation(f) for f in (fol, ref))
+        assert np.array_equal(var.area, ref_var.area)
+        assert np.array_equal(var.variation, ref_var.variation)
+        leaf, box = fol.slices[1], ref.slices[1]
+        for a, b in zip(gauss_identity_sides(leaf, rho, ScalarField(
+                leaf.slice_grid, np.ones(leaf.slice_grid.shape))),
+                gauss_identity_sides(box, rho, ScalarField(
+                    box.slice_grid, np.ones(box.slice_grid.shape)))):
+            assert np.array_equal(a.values, b.values)
+        traces = boundary_trace_identity(leaf, rho, phi)
+        for key, face in boundary_trace_identity(box, rho, phi).items():
+            assert np.array_equal(traces[key].lhs, face.lhs)
+            assert np.array_equal(traces[key].rhs, face.rhs)
+
+    def test_benchmark_shell_builds_one_slab_bundle(self, monkeypatch):
+        # 41 x 80 x 41 shell, leaves r = 1.0075 + 0.07 k: the radial
+        # interpolation reads rows 11..30, so the one 3-d bundle of a
+        # whole leaf strand has 20 + 2 halo rows
+        grid, metric = spherical_shell(41, 80, 41, rel_width=0.3)
+        phi = ScalarField(grid, self.C * grid.coords()[2] ** 2)
+        rho = ScalarField(grid, np.exp(phi.values))
+        radii = tuple(1.0075 + 0.07 * k for k in range(-2, 3))
+        real, shapes = curvature.curvature_bundle, []
+
+        def recording(metric):
+            shapes.append(metric.grid.shape)
+            return real(metric)
+
+        patch_every_binding(monkeypatch, real, recording)
+        fol = make_graph_foliation(
+            metric, radii,
+            [lambda t, p, r=r: np.full(t.shape, r) for r in radii], phi,
+            graph_axis=2)
+        lapse_residual(fol)
+        weighted_area_variation(fol)
+        principal_eigenpair(assemble_jacobi(fol.slices[2], rho))
+        assert [s for s in shapes if len(s) == 3] == [(41, 80, 22)]
+
+    def test_sampling_a_halo_row_names_the_slice_node(self):
+        grid, metric, phi, _ = self.shell()
+        radii = (0.96, 1.0075, 1.04)
+        fol = make_graph_foliation(
+            metric, radii,
+            [lambda t, p, r=r: np.full(t.shape, r) for r in radii], phi,
+            graph_axis=2)
+        leaf = fol.slices[1]
+        slab = leaf.ambient_grid
+        rows = slab.axis_coords(2)
+        height = np.full(leaf.slice_grid.shape, rows[3])
+        height[4, 9] = rows[0] + 0.25 * slab.spacing[2]
+        with pytest.raises(ValueError, match=r"halo row 0 .*slice node "
+                                             r"\(4, 9\)"):
+            embed_graph(leaf.ambient_metric,
+                        ScalarField(leaf.slice_grid, height.copy()),
+                        graph_axis=2, bundle=leaf.ambient_bundle)
+        height[4, 9] = rows[-2] + 0.5 * slab.spacing[2]
+        with pytest.raises(ValueError, match=rf"halo row {rows.size - 1} "
+                                             r".*slice node \(4, 9\)"):
+            embed_graph(leaf.ambient_metric,
+                        ScalarField(leaf.slice_grid, height.copy()),
+                        graph_axis=2, bundle=leaf.ambient_bundle)
+        height[4, 9] = rows[1]
+        embed_graph(leaf.ambient_metric,
+                    ScalarField(leaf.slice_grid, height.copy()),
+                    graph_axis=2, bundle=leaf.ambient_bundle)
+
+
+class TestWallContact:
+    def test_tilted_leaf_names_the_contact_node(self):
+        # angle = ang + 0.1 s leans against the radial walls: its normal
+        # has a radial component there, and the inner wall comes first
+        grid, metric = solid_cylinder_band(17, 16, 8)
+        ang = grid.axis_coords(1)[4]
+        emb = embed_graph(metric, lambda s, z: ang + 0.1 * s, graph_axis=1)
+        with pytest.raises(ValueError, match=r"slice node \(0, 0\) with "
+                                             r"contact residual"):
+            assemble_jacobi(emb, ScalarField(grid, np.ones(grid.shape)))
+
+    def test_leaf_tilted_along_the_wall_meets_it_orthogonally(self):
+        # angle = ang + 0.1 z still contains the radial direction, so
+        # it meets both radial walls at right angles: residual 0
+        grid, metric = solid_cylinder_band(17, 16, 8)
+        ang = grid.axis_coords(1)[4]
+        emb = embed_graph(metric, lambda s, z: ang + 0.1 * z, graph_axis=1)
+        prob = assemble_jacobi(emb, ScalarField(grid, np.ones(grid.shape)))
+        assert sorted(prob.robin) == [(0, 0), (0, 1)]
