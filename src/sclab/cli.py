@@ -1,5 +1,10 @@
 """Batch front end: strict flat configs, dispatch, CSV/report emission.
 
+The domain modules compute and return records; this module alone
+writes the job outputs (snapshots aside, which `charts` writes):
+every CSV goes through `emit_series` with its columns named by the
+caller, and certificates are written one `certificate_line` each.
+
 Configuration is one `key=value` per line (or per command-line
 argument), `#` comments, no nesting.  Parsing is strict: unknown keys,
 out-of-range values, and keys that the chosen geometry cannot use are
@@ -13,6 +18,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -21,15 +27,15 @@ from .curvature import f_functional
 from .expressions import ExpressionError, parse_expression
 from .flow import (adjoint_supersolution_residual, cfl_bound,
                    evolution_identity_residual, flow_states, make_flow_state,
-                   profile_state, ricci_hessian_gap, round_profile,
-                   run_profile_flow, write_trajectory_series)
+                   monotonicity_report, profile_state, profile_states,
+                   ricci_hessian_gap, round_profile)
 from .hypersurface import embed_graph
 from .models import (TWO_PI, conformal_torus, flat_torus, sphere_band,
                      torus_surface)
-from .spectral import assemble_jacobi, principal_eigenpair, write_eigenreport
+from .spectral import assemble_jacobi, principal_eigenpair
 from .systole import (DiskCylinder, FlatTorus, SphereCylinder,
-                      build_winding_graph, equality_certificate,
-                      quantization_bound, systole_sigma, write_certificates)
+                      build_winding_graph, certificate_line,
+                      equality_certificate, quantization_bound, systole_sigma)
 
 
 class ConfigError(ValueError):
@@ -218,12 +224,9 @@ def _validate(command, geometry, values, provided):
         raise ConfigError("snapshot_every must be nonnegative")
 
 
-def emit_series(records, path, columns=None) -> None:
-    """Homogeneous records as CSV: 17-significant-digit floats, LF."""
-    if columns is None:
-        if not records:
-            raise ValueError("empty record list needs explicit columns")
-        columns = list(records[0])
+def emit_series(records, path, columns) -> None:
+    """Records holding exactly the given columns as CSV, in that order:
+    17-significant-digit floats, LF line endings."""
     lines = [",".join(columns)]
     for rec in records:
         if set(rec) != set(columns):
@@ -320,10 +323,11 @@ def _run_flow(config) -> int:
     res = config.resolutions[0]
     path = _resolve_output(config.output_path)
     if config.geometry == "sphere":
-        profiles = run_profile_flow(round_profile(res, config.options["r0"]),
-                                    config.dt, config.steps)
-        stride = max(len(profiles) // 17, 1)
-        states = (profile_state(p) for p in profiles[::stride])
+        # about 17 of the steps + 1 profiles, lifted as they stream past
+        stride = max((config.steps + 1) // 17, 1)
+        profiles = profile_states(round_profile(res, config.options["r0"]),
+                                  config.dt, config.steps)
+        states = map(profile_state, islice(profiles, 0, None, stride))
         dt = config.dt * stride
     else:
         grid, metric, _ = conformal_torus(res, config.options["amplitude"])
@@ -333,9 +337,14 @@ def _run_flow(config) -> int:
                              snapshot_every=config.options["snapshot_every"],
                              snapshot_dir=os.path.dirname(path) or ".")
         dt = config.dt
-    # the writer folds the stream through a three-state window, so the
+    # the report folds the stream through a three-state window, so the
     # run holds three states however many steps it takes
-    report = write_trajectory_series(states, path, dt)
+    report = monotonicity_report(states, dt)
+    columns = ["t", "inf_S", "F", "max_ricci_hessian_gap",
+               "identity_residual_maxnorm"]
+    emit_series([dict(zip(columns, row)) for row in zip(
+        report.times, report.inf_s, report.f_values, report.gap_norms,
+        report.identity_residuals)], path, columns)
     verdict = "pass" if report.monotone else "fail"
     print(f"flow: {len(report.times)} states, inf_S "
           f"{report.inf_s[0]:.6g} -> {report.inf_s[-1]:.6g}, "
@@ -388,10 +397,15 @@ def _run_jacobi(config) -> int:
     problem = assemble_jacobi(emb, ScalarField(grid, np.ones(grid.shape)))
     pair = principal_eigenpair(problem)
     path = _resolve_output(config.output_path)
-    write_eigenreport(path, f"equator-{res}", pair)
+    u = pair.eigenfunction.values
+    emit_series([{"problem": f"equator-{res}", "eigenvalue": pair.eigenvalue,
+                  "residual": pair.residual, "iterations": pair.iterations,
+                  "u_min": u.min(), "u_max": u.max()}],
+                path, ["problem", "eigenvalue", "residual", "iterations",
+                       "u_min", "u_max"])
     tol = config.options["tolerance"]
     gap = abs(pair.eigenvalue + 1.0)
-    positive = bool(pair.eigenfunction.values.min() > 0.0)
+    positive = bool(u.min() > 0.0)
     good = gap <= tol and positive
     print(f"jacobi: eigenvalue={pair.eigenvalue:.10g} gap={gap:.3e} "
           f"(tol {tol:g}) positive={positive} "
@@ -448,7 +462,8 @@ def _run_certify(config) -> int:
     certs = [equality_certificate(m, resolution=res, connectivity=conn)
              for m in models]
     path = _resolve_output(config.output_path)
-    write_certificates(path, certs)
+    with open(path, "w", newline="\n") as fh:
+        fh.writelines(certificate_line(cert) + "\n" for cert in certs)
     failures = [c for c in certs if c.verdict != "pass"]
     for cert in certs:
         print(f"certify: {type(cert.model).__name__} "

@@ -10,6 +10,12 @@ bound.
 Explicit Euler and midpoint steppers only: identity checks want plain
 state sequences that can be differenced in time, and desk-scale runs
 do not need implicit solvers.
+
+Both flows stream: `flow_states` and `profile_states` yield one state
+at a time, and `monotonicity_report` folds a stream once through a
+three-state window into every per-state series, the identity residual
+included.  This module writes no result files; snapshots go through
+`charts.write_snapshot`.
 """
 
 import os
@@ -160,15 +166,18 @@ def evolution_identity_residual(prev: FlowState, state: FlowState,
 class MonotonicityReport:
     """Per-state series for the maximum-principle and rigidity checks.
 
-    violations lists indices k where inf S dropped by more than 1e-8
-    from state k to k+1; rigidity marks states whose Ric - D^2 phi gap
-    is at most RIGIDITY_TOL (the equality mechanism).
+    identity_residuals holds the max norm of the evolution identity
+    residual, nan at the two end states, which have no centered time
+    slope.  violations lists indices k where inf S dropped by more than
+    1e-8 from state k to k+1; rigidity marks states whose Ric - D^2 phi
+    gap is at most RIGIDITY_TOL (the equality mechanism).
     """
 
     times: np.ndarray
     inf_s: np.ndarray
     f_values: np.ndarray
     gap_norms: np.ndarray
+    identity_residuals: np.ndarray
     violations: tuple
     rigidity: np.ndarray
 
@@ -177,33 +186,34 @@ class MonotonicityReport:
         return not self.violations
 
 
-def monotonicity_report(states, each_window=None) -> MonotonicityReport:
-    """Fold an iterable of states into the report.
+def monotonicity_report(states, dt: float) -> MonotonicityReport:
+    """Fold an iterable of states spaced dt apart into the report.
 
     The states are read once through a (prev, state, nxt) window, so a
-    generator of states keeps at most three of them live.  When given,
-    each_window(prev, state, nxt) is called once per state; prev and
-    nxt are None past either end.
+    generator of states keeps at most three of them live.
     """
     stream = iter(states)
     rows = []
     prev, state = None, next(stream, None)
     while state is not None:
         nxt = next(stream, None)
+        residual = np.nan
+        if prev is not None and nxt is not None:
+            residual = np.abs(
+                evolution_identity_residual(prev, state, nxt, dt)).max()
         rows.append((state.t, state.stabilized.values.min(),
                      f_functional(state.metric, state.phi,
                                   stabilized=state.stabilized),
-                     np.abs(ricci_hessian_gap(state)).max()))
-        if each_window is not None:
-            each_window(prev, state, nxt)
+                     np.abs(ricci_hessian_gap(state)).max(), residual))
         prev, state = state, nxt
     if len(rows) < 2:
         raise ValueError("need at least two states")
-    times, inf_s, f_vals, gaps = (np.array(col) for col in zip(*rows))
+    times, inf_s, f_vals, gaps, residuals = (np.array(col)
+                                             for col in zip(*rows))
     violations = tuple(int(k) for k in range(len(rows) - 1)
                        if inf_s[k + 1] < inf_s[k] - 1e-8)
-    return MonotonicityReport(times, inf_s, f_vals, gaps, violations,
-                              gaps <= RIGIDITY_TOL)
+    return MonotonicityReport(times, inf_s, f_vals, gaps, residuals,
+                              violations, gaps <= RIGIDITY_TOL)
 
 
 def adjoint_supersolution_residual(state: FlowState) -> ScalarField:
@@ -356,12 +366,13 @@ def step_profile_flow(p: SphereProfile, dt: float) -> SphereProfile:
     return SphereProfile(p.t + dt, p.theta, a, b)
 
 
-def run_profile_flow(p: SphereProfile, dt: float,
-                     steps: int) -> tuple:
-    out = [p]
+def profile_states(p: SphereProfile, dt: float, steps: int):
+    """Yield the given profile, then each stepped one; only the latest
+    profile is held here."""
+    yield p
     for _ in range(steps):
-        out.append(step_profile_flow(out[-1], dt))
-    return tuple(out)
+        p = step_profile_flow(p, dt)
+        yield p
 
 
 def profile_state(p: SphereProfile, lon_res: int = 8) -> FlowState:
@@ -378,30 +389,3 @@ def profile_state(p: SphereProfile, lon_res: int = 8) -> FlowState:
     phi = ScalarField(grid, np.zeros(grid.shape))
     return make_flow_state(p.t, metric, phi)
 
-
-def write_trajectory_series(states, path, dt: float) -> MonotonicityReport:
-    """Per-state series; identity residual is blank at the endpoints.
-
-    states is any iterable of states spaced dt apart; it is read once,
-    through the report's three-state window.  Returns the monotonicity
-    report the series was written from.
-    """
-    tails = []
-
-    def residual(prev, state, nxt):
-        if prev is None or nxt is None:
-            tails.append("nan")
-            return
-        res = np.abs(evolution_identity_residual(prev, state, nxt, dt)).max()
-        tails.append(f"{res:.17g}")
-
-    report = monotonicity_report(states, each_window=residual)
-    rows = ["t,inf_S,F,max_ricci_hessian_gap,identity_residual_maxnorm"]
-    for k, tail in enumerate(tails):
-        rows.append(",".join([f"{report.times[k]:.17g}",
-                              f"{report.inf_s[k]:.17g}",
-                              f"{report.f_values[k]:.17g}",
-                              f"{report.gap_norms[k]:.17g}", tail]))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
-    return report

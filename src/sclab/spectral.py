@@ -323,6 +323,9 @@ def principal_eigenpair(problem: SpectralProblem, tol: float = 1e-10,
     inner product and the iteration converges to the bottom of the
     spectrum from the all-ones start.
     """
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got "
+                         f"{max_iterations}")
     op = problem.operator.tocsr()
     diag = op.diagonal()
     row_abs = np.abs(op) @ np.ones(op.shape[0]) - np.abs(diag)
@@ -358,16 +361,6 @@ def principal_eigenpair(problem: SpectralProblem, tol: float = 1e-10,
     raise RuntimeError(f"inverse iteration did not converge in "
                        f"{max_iterations} iterations; last residual "
                        f"{res_norm:.3e}")
-
-
-def write_eigenreport(path, problem_id: str, pair: EigenPair) -> None:
-    u = pair.eigenfunction.values
-    row = ",".join([problem_id, f"{pair.eigenvalue:.17g}",
-                    f"{pair.residual:.17g}", str(pair.iterations),
-                    f"{u.min():.17g}", f"{u.max():.17g}"])
-    with open(path, "w", newline="\n") as fh:
-        fh.write("problem,eigenvalue,residual,iterations,u_min,u_max\n")
-        fh.write(row + "\n")
 
 
 @dataclass(frozen=True)

@@ -491,8 +491,3 @@ def certificate_line(cert: EqualityCertificate) -> str:
             f"relative_gap={cert.relative_gap:.3e} "
             f"verdict={cert.verdict} note=\"{cert.note}\"")
 
-
-def write_certificates(path, certs) -> None:
-    with open(path, "w", newline="\n") as fh:
-        for cert in certs:
-            fh.write(certificate_line(cert) + "\n")

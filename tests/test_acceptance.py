@@ -32,9 +32,9 @@ from sclab.flow import (
     profile_cfl_bound,
     profile_scalar_curvature,
     profile_state,
+    profile_states,
     ricci_hessian_gap,
     round_profile,
-    run_profile_flow,
 )
 from sclab.hypersurface import (
     embed_graph,
@@ -143,7 +143,7 @@ def test_02_sphere_curvature_and_flow():
         p = round_profile(33)
         horizon = 0.2
         steps = int(np.ceil(horizon / (0.5 * profile_cfl_bound(p))))
-        profiles = run_profile_flow(p, horizon / steps, steps)
+        profiles = tuple(profile_states(p, horizon / steps, steps))
         for q in profiles[:: max(1, steps // 16)] + (profiles[-1],):
             expect = 2.0 / (1.0 - 2.0 * q.t)
             rel = np.abs(profile_scalar_curvature(q) - expect).max() / expect
@@ -291,20 +291,21 @@ def test_08_monotonicity_and_rigidity():
         flat_state = make_flow_state(
             0.0, metric, ScalarField(grid, np.full(grid.shape, 0.25)))
         flat_report = monotonicity_report(
-            tuple(flow_states(flat_state, 1.0e-3, 10)))
+            flow_states(flat_state, 1.0e-3, 10), 1.0e-3)
         assert flat_report.monotone and flat_report.violations == ()
         assert flat_report.rigidity.all()
 
         curved_reports = []
         for axis in (0, 1):
             state = perturbed_torus_state(24, phi_axis=axis)
+            dt = 0.45 * cfl_bound(state)
             curved_reports.append(monotonicity_report(
-                tuple(flow_states(state, 0.45 * cfl_bound(state), 200))))
+                flow_states(state, dt, 200), dt))
         p = round_profile(33)
         dt = 0.5 * profile_cfl_bound(p)
-        profiles = run_profile_flow(p, dt, 220)
+        profiles = tuple(profile_states(p, dt, 220))
         states = tuple(profile_state(q, lon_res=8) for q in profiles[::20])
-        curved_reports.append(monotonicity_report(states))
+        curved_reports.append(monotonicity_report(states, 20 * dt))
         for report in curved_reports:
             assert report.monotone and report.violations == ()
             # the flag must fire exactly on the flat constant run above

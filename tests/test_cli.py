@@ -30,8 +30,15 @@ from sclab.cli import (
     main,
     parse_config_lines,
 )
-from sclab.models import TWO_PI, torus_surface
-from sclab.systole import build_winding_graph, systole_sigma
+from sclab.charts import ScalarField
+from sclab.flow import (SphereProfile, flow_states, make_flow_state,
+                        monotonicity_report)
+from sclab.hypersurface import embed_graph
+from sclab.models import TWO_PI, conformal_torus, sphere_band, torus_surface
+from sclab.spectral import assemble_jacobi, principal_eigenpair
+from sclab.systole import (DiskCylinder, FlatTorus, SphereCylinder,
+                           build_winding_graph, certificate_line,
+                           equality_certificate, systole_sigma)
 
 
 @pytest.fixture
@@ -157,7 +164,7 @@ class TestEmitSeries:
     def test_floats_round_trip_exactly(self, tmp_path):
         values = [math.pi, 1.0 / 3.0, 1e-300, 2.0 ** -52, -0.0, 6.0]
         path = tmp_path / "series.csv"
-        emit_series([{"v": v} for v in values], path)
+        emit_series([{"v": v} for v in values], path, ["v"])
         got = column(path, "v")
         assert got.tolist() == values
 
@@ -166,13 +173,10 @@ class TestEmitSeries:
         emit_series([], path, ["t", "inf_S"])
         assert path.read_text() == "t,inf_S\n"
 
-    def test_empty_without_columns_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="explicit columns"):
-            emit_series([], tmp_path / "x.csv")
-
     def test_inhomogeneous_records_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="homogeneous"):
-            emit_series([{"a": 1.0}, {"b": 2.0}], tmp_path / "x.csv")
+            emit_series([{"a": 1.0}, {"b": 2.0}], tmp_path / "x.csv",
+                        ["a"])
 
     def test_int_and_bool_cells(self, tmp_path):
         path = tmp_path / "mixed.csv"
@@ -182,7 +186,7 @@ class TestEmitSeries:
 
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "lf.csv"
-        emit_series([{"a": 1.0}], path)
+        emit_series([{"a": 1.0}], path, ["a"])
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
@@ -264,8 +268,51 @@ class TestFlowCommand:
         assert len(t) == 21
         assert t[-1] == pytest.approx(0.02, rel=1e-12)
 
+    def test_series_cells_match_report_bit_for_bit(self, out_dir):
+        assert main(["flow", "torus", "res=16", "amplitude=0.1", "dt=1e-3",
+                     "steps=4"]) == 0
+        grid, metric, _ = conformal_torus(16, 0.1)
+        state = make_flow_state(0.0, metric,
+                                ScalarField(grid, np.zeros(grid.shape)))
+        report = monotonicity_report(flow_states(state, 1e-3, 4), 1e-3)
+        path = out_dir / "flow.csv"
+        fields = {"t": report.times, "inf_S": report.inf_s,
+                  "F": report.f_values,
+                  "max_ricci_hessian_gap": report.gap_norms,
+                  "identity_residual_maxnorm": report.identity_residuals}
+        columns, rows = read_csv(path)
+        assert columns == list(fields)
+        assert len(rows) == 5
+        for name, values in fields.items():
+            assert np.array_equal(column(path, name), values, equal_nan=True)
+        residuals = [r["identity_residual_maxnorm"] for r in rows]
+        assert residuals[0] == residuals[-1] == "nan"
+        assert not np.isnan(report.identity_residuals[1:-1]).any()
+
+    def test_sphere_run_holds_three_profiles(self, out_dir, monkeypatch):
+        # profiles stream and only every stride-th one is lifted, so the
+        # run holds a few of them however many steps it takes
+        from sclab import flow
+        refs = []
+        counts = []
+
+        def tracking(real):
+            def wrapper(*args, **kwargs):
+                profile = real(*args, **kwargs)
+                assert isinstance(profile, SphereProfile)
+                refs.append(weakref.ref(profile))
+                counts.append(sum(ref() is not None for ref in refs))
+                return profile
+            return wrapper
+
+        for real in (flow.round_profile, flow.step_profile_flow):
+            patch_every_binding(monkeypatch, real, tracking(real))
+        assert main(["flow", "sphere", "r0=1", "dt=1e-4", "steps=1000"]) == 0
+        assert len(counts) == 1001
+        assert max(counts) <= 3
+
     def test_torus_run_builds_one_report(self, out_dir, monkeypatch):
-        # the series writer's report is the one the verdict reads
+        # the report written to the series is the one the verdict reads
         from sclab import flow
         real = flow.monotonicity_report
         calls = []
@@ -365,6 +412,25 @@ class TestJacobiCommand:
     def test_tight_tolerance_fails_verdict(self, out_dir):
         assert main(["jacobi", "equator", "res=128", "tolerance=1e-4"]) == 2
 
+    def test_csv_fields_match_library_bit_for_bit(self, out_dir):
+        assert main(["jacobi", "equator", "res=64", "tolerance=1"]) == 0
+        grid, metric = sphere_band(65, 64)
+        emb = embed_graph(metric, lambda p: np.full(p.shape, np.pi / 2),
+                          graph_axis=0)
+        pair = principal_eigenpair(
+            assemble_jacobi(emb, ScalarField(grid, np.ones(grid.shape))))
+        columns, rows = read_csv(out_dir / "jacobi.csv")
+        assert columns == ["problem", "eigenvalue", "residual",
+                           "iterations", "u_min", "u_max"]
+        assert len(rows) == 1
+        row = rows[0]
+        assert row["problem"] == "equator-64"
+        assert float(row["eigenvalue"]) == pair.eigenvalue
+        assert float(row["residual"]) == pair.residual
+        assert int(row["iterations"]) == pair.iterations
+        assert float(row["u_min"]) == pair.eigenfunction.values.min()
+        assert float(row["u_max"]) == pair.eigenfunction.values.max()
+
 
 class TestSystoleCommand:
     def test_product_torus_matches_circumference(self, out_dir):
@@ -411,6 +477,18 @@ class TestCertifyCommand:
         # measured lhs must carry that gap into the verdict
         assert main(["certify", "sphere-cylinder", "res=32"]) == 2
         assert "verdict=fail" in capsys.readouterr().out
+
+    def test_lf_lines_one_certificate_line_per_model(self, out_dir):
+        # the sphere band fails its gate at res 16; its line is written
+        assert main(["certify", "all", "res=16", "connectivity=4"]) == 2
+        raw = (out_dir / "certificates.txt").read_bytes()
+        assert b"\r" not in raw
+        models = (DiskCylinder(1.0, (10.0,)), SphereCylinder(1.0, (10.0,)),
+                  FlatTorus((TWO_PI, TWO_PI)))
+        assert raw.decode() == "".join(
+            certificate_line(equality_certificate(m, resolution=16,
+                                                  connectivity=4)) + "\n"
+            for m in models)
 
     def test_single_model_selection(self, out_dir):
         assert main(["certify", "flat-torus", "res=16"]) == 0

@@ -30,12 +30,11 @@ from sclab.flow import (
     profile_laplacian,
     profile_scalar_curvature,
     profile_state,
+    profile_states,
     ricci_hessian_gap,
     round_profile,
-    run_profile_flow,
     step_coupled_flow,
     step_profile_flow,
-    write_trajectory_series,
 )
 from sclab.models import (conformal_torus, flat_torus, sphere_band,
                           spherical_shell)
@@ -211,7 +210,7 @@ class TestProfileFlow:
         bound = 0.5 * profile_cfl_bound(p)
         steps = int(np.ceil(horizon / bound))
         dt = horizon / steps
-        traj = run_profile_flow(p, dt, steps)
+        traj = tuple(profile_states(p, dt, steps))
         for q in traj[:: max(1, steps // 16)] + (traj[-1],):
             expect = 2.0 / (r0sq - 2.0 * q.t)
             rel = np.abs(profile_scalar_curvature(q) - expect).max() / expect
@@ -254,8 +253,8 @@ class TestEvolutionIdentity:
         errs = []
         for n in (17, 33, 65):
             dt = 1.0e-4
-            profiles = run_profile_flow(round_profile(n), dt, 2)
-            states = tuple(profile_state(q, lon_res=8) for q in profiles)
+            states = tuple(profile_state(q, lon_res=8)
+                           for q in profile_states(round_profile(n), dt, 2))
             res = evolution_identity_residual(*states, dt)
             w = lat_window(states[0].metric.grid)
             errs.append(np.abs(res[w]).max())
@@ -311,7 +310,7 @@ class TestMonotonicity:
     def test_flat_is_rigid(self):
         grid, metric = flat_torus((16, 16))
         state = make_flow_state(0.0, metric, zero_phi(grid))
-        rep = monotonicity_report(tuple(flow_states(state, 1.0e-3, 5)))
+        rep = monotonicity_report(flow_states(state, 1.0e-3, 5), 1.0e-3)
         assert rep.monotone
         assert rep.rigidity.all()
         assert np.abs(rep.inf_s).max() <= 1e-12
@@ -319,17 +318,17 @@ class TestMonotonicity:
     def test_sphere_inf_s_strictly_increases(self):
         p = round_profile(33)
         dt = 0.5 * profile_cfl_bound(p)
-        profiles = run_profile_flow(p, dt, 220)
+        profiles = tuple(profile_states(p, dt, 220))
         states = tuple(profile_state(q, lon_res=8) for q in profiles[::20])
-        rep = monotonicity_report(states)
+        rep = monotonicity_report(states, 20 * dt)
         assert rep.monotone
         assert (np.diff(rep.inf_s) > 0).all()
         assert not rep.rigidity.any()
 
     def test_perturbed_torus_200_steps(self):
         state = perturbed_torus_state(24, phi_axis=0)
-        rep = monotonicity_report(
-            tuple(flow_states(state, 0.45 * cfl_bound(state), 200)))
+        dt = 0.45 * cfl_bound(state)
+        rep = monotonicity_report(flow_states(state, dt, 200), dt)
         assert rep.violations == ()
         assert rep.monotone
         assert len(rep.times) == 201
@@ -339,7 +338,17 @@ class TestMonotonicity:
         state = make_flow_state(0.0, metric, zero_phi(grid))
         states = tuple(flow_states(state, 1.0e-3, 1))
         with pytest.raises(ValueError, match="two states"):
-            monotonicity_report(states[:1])
+            monotonicity_report(states[:1], 1.0e-3)
+
+    def test_identity_residuals_nan_only_at_ends(self):
+        state = perturbed_torus_state(16, phi_axis=1)
+        states = tuple(flow_states(state, 1.0e-3, 4))
+        rep = monotonicity_report(states, 1.0e-3)
+        assert np.isnan(rep.identity_residuals[[0, -1]]).all()
+        for k in (1, 2, 3):
+            expect = np.abs(evolution_identity_residual(
+                *states[k - 1:k + 2], 1.0e-3)).max()
+            assert rep.identity_residuals[k] == expect
 
 
 class TestAdjointResidual:
@@ -370,24 +379,3 @@ class TestAdjointResidual:
         assert errs[-1] <= 1e-3
         assert refinement_order(errs) >= 1.8
 
-
-class TestSeries:
-
-    def test_series_file_round_trips(self, tmp_path):
-        state = perturbed_torus_state(16, phi_axis=1)
-        states = tuple(flow_states(state, 1.0e-3, 4))
-        path = tmp_path / "series.csv"
-        write_trajectory_series(states, path, 1.0e-3)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,inf_S,F,max_ricci_hessian_gap," \
-                           "identity_residual_maxnorm"
-        assert len(lines) == 6
-        rep = monotonicity_report(states)
-        first = lines[1].split(",")
-        assert first[-1] == "nan"
-        assert float(first[1]) == rep.inf_s[0]
-        assert float(first[2]) == rep.f_values[0]
-        mid = lines[3].split(",")
-        expect = np.abs(evolution_identity_residual(*states[1:4],
-                                                    1.0e-3)).max()
-        assert float(mid[-1]) == expect

@@ -1,11 +1,12 @@
 """Module layout: no sclab module imports another module's private
-names, and only charts runs stencil loops, inverts a metric or builds
-a grid.
+names, only charts runs stencil loops, inverts a metric or builds a
+grid, and only charts (snapshots) and cli (job outputs) write files.
 
 Every file under src/sclab is parsed with ast; a relative import of a
-name with a leading underscore, or a call of `diff_array`,
-`np.linalg.inv`, `np.linalg.det` or `ChartGrid` outside charts.py, is
-reported with its file and line.
+name with a leading underscore, a call of `diff_array`,
+`np.linalg.inv`, `np.linalg.det` or `ChartGrid` outside charts.py, or
+an `open(...)` for writing outside charts.py and cli.py, is reported
+with its file and line.
 """
 
 import ast
@@ -147,3 +148,52 @@ def test_grid_detector_names_file_and_line(tmp_path):
                       "d = isinstance(g, ChartGrid)\n")
     assert grid_constructions(sample) == [
         "sample.py:2: ChartGrid(...)", "sample.py:5: ChartGrid(...)"]
+
+
+def write_opens(path: Path) -> list:
+    """`file:line: open(..., mode)` for each builtin `open` call whose
+    mode writes, appends or creates (any of w, a, x, +); a mode that is
+    not a string literal counts as writing."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open"):
+            continue
+        modes = node.args[1:2] + [k.value for k in node.keywords
+                                  if k.arg == "mode"]
+        if not modes:
+            continue
+        mode = modes[0]
+        if isinstance(mode, ast.Constant) and isinstance(mode.value, str) \
+                and not set(mode.value) & set("wax+"):
+            continue
+        found.append((node.lineno, ast.unparse(mode)))
+    return [f"{path.name}:{line}: open(..., {mode})"
+            for line, mode in sorted(found)]
+
+
+def test_files_are_written_only_in_charts_and_cli():
+    # domain modules return records; cli formats every job output and
+    # charts writes the flow's snapshots
+    paths = sorted(SOURCE.glob("*.py"))
+    assert SOURCE / "flow.py" in paths
+    found = [line for path in paths
+             if path.name not in ("charts.py", "cli.py")
+             for line in write_opens(path)]
+    assert not found, "file opened for writing outside charts.py and " \
+        "cli.py:\n" + "\n".join(found)
+    assert write_opens(SOURCE / "charts.py")
+    assert write_opens(SOURCE / "cli.py")
+
+
+def test_write_detector_names_file_and_line(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("a = open(p)\nb = open(p, 'rb')\n"
+                      "c = open(p, 'w', newline='\\n')\n"
+                      "d = open(p,\n         mode='ab')\n"
+                      "e = open(p, 'r+')\nf = open(p, m)\n"
+                      "g = path.open('w')\nh = open(p, encoding='utf-8')\n")
+    assert write_opens(sample) == [
+        "sample.py:3: open(..., 'w')", "sample.py:4: open(..., 'ab')",
+        "sample.py:6: open(..., 'r+')", "sample.py:7: open(..., m)"]

@@ -41,7 +41,6 @@ from sclab.spectral import (
     assemble_jacobi,
     lapse_residual,
     principal_eigenpair,
-    write_eigenreport,
 )
 
 _CACHE = {}
@@ -293,6 +292,12 @@ class TestPrincipalEigenpair:
         with pytest.raises(RuntimeError, match="did not converge"):
             principal_eigenpair(prob, max_iterations=2)
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_rejects_fewer_than_one_iteration(self, count):
+        # a zero cap once reached the error message with no residual
+        with pytest.raises(ValueError, match=f"got {count}"):
+            principal_eigenpair(circle_problem(16), max_iterations=count)
+
     def test_dense_oracle_cap(self):
         grid = make_chart(2, (64, 64), (1.0, 1.0), PERIODIC)
         metric = _diag_metric(grid, [1.0, 1.0])
@@ -375,20 +380,6 @@ class TestLapseResidual:
             zero_field(grid), graph_axis=2)
         with pytest.raises(ValueError, match="not a constant"):
             lapse_residual(fol)
-
-
-class TestEigenreport:
-    def test_round_trip(self, tmp_path):
-        prob = circle_problem(64)
-        pair = principal_eigenpair(prob)
-        path = tmp_path / "report.csv"
-        write_eigenreport(path, "circle-drift", pair)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "problem,eigenvalue,residual,iterations,u_min,u_max"
-        fields = lines[1].split(",")
-        assert fields[0] == "circle-drift"
-        assert float(fields[1]) == pair.eigenvalue
-        assert int(fields[3]) == pair.iterations
 
 
 def leaf_strand(fol, rho, middle):

@@ -37,7 +37,6 @@ from sclab.systole import (
     equality_certificate,
     quantization_bound,
     systole_sigma,
-    write_certificates,
 )
 
 _CACHE = {}
@@ -615,16 +614,6 @@ class TestCertificates:
             assert float(fields["lhs"]) == cert.lhs
             assert float(fields["rhs"]) == cert.rhs
             assert fields["verdict"] == cert.verdict
-
-    def test_write_certificates_round_trip(self, tmp_path):
-        certs = [cert_disk(), cert_flat()]
-        path = tmp_path / "certs.txt"
-        write_certificates(path, certs)
-        text = path.read_bytes().decode()
-        assert "\r" not in text
-        lines = text.splitlines()
-        assert len(lines) == 2
-        assert lines[0].startswith("model=DiskCylinder")
 
     def test_rejects_multi_fiber_disk_cylinder(self):
         with pytest.raises(ValueError, match="one fiber"):
