@@ -1,14 +1,17 @@
-"""Batch front end: strict flat configs, dispatch, CSV/report emission.
+"""Batch front end: strict flat configs, one job table, dispatch, output.
 
 The domain modules compute and return records; this module alone
-writes the job outputs (snapshots aside, which `charts` writes):
-every CSV goes through `emit_series` with its columns named by the
-caller, and certificates are written one `certificate_line` each.
+writes the job outputs: every CSV goes through `emit_series` with its
+columns named by the caller, certificates are written one
+`certificate_line` each, and the torus flow's snapshots go through
+`charts.write_snapshot` as its states stream past.
 
 Configuration is one `key=value` per line (or per command-line
-argument), `#` comments, no nesting.  Parsing is strict: unknown keys,
-out-of-range values, and keys that the chosen geometry cannot use are
-all rejected with the offending location.  Exit codes: 0 success, 2
+argument), `#` comments, no nesting.  `_JOBS` lists, per command and
+geometry, exactly the keys that job reads, each with a converter that
+carries its range rule and a default.  A key the job does not read, an
+out-of-range value, or a required key left unset is rejected, and the
+message names the offending location.  Exit codes: 0 success, 2
 when any verification verdict in the run says fail, 1 on operational
 errors (bad config, unwritable output, aborted flow).
 """
@@ -22,9 +25,9 @@ from itertools import islice
 
 import numpy as np
 
-from .charts import ScalarField, TensorField, sample_field
+from .charts import ScalarField, TensorField, sample_field, write_snapshot
 from .curvature import f_functional
-from .expressions import ExpressionError, parse_expression
+from .expressions import parse_expression
 from .flow import (adjoint_supersolution_residual, cfl_bound,
                    evolution_identity_residual, flow_states, make_flow_state,
                    monotonicity_report, profile_state, profile_states,
@@ -42,87 +45,75 @@ class ConfigError(ValueError):
     """Config rejection; the message names the offending location."""
 
 
-def _float(text, where):
+def _float(text):
     try:
         return float(text)
     except ValueError:
-        raise ConfigError(f"{where}: {text!r} is not a number") from None
+        raise ValueError(f"{text!r} is not a number") from None
 
 
-def _int(text, where):
+def _int(text):
     try:
         return int(text, 10)
     except ValueError:
-        raise ConfigError(f"{where}: {text!r} is not an integer") from None
+        raise ValueError(f"{text!r} is not an integer") from None
 
 
-def _ints(text, where):
-    return tuple(_int(part, where) for part in text.split(","))
+def _ruled(convert, holds, rule):
+    """`convert`, then reject a value for which `holds` is false."""
+    def checked(text):
+        value = convert(text)
+        if not holds(value):
+            raise ValueError(f"{rule}, got {text!r}")
+        return value
+    return checked
 
 
-def _floats(text, where):
-    return tuple(_float(part, where) for part in text.split(","))
+def _res_list(text):
+    res = tuple(map(_int, text.split(",")))
+    if min(res) < 8:
+        raise ValueError(f"entries must be at least 8, got {text!r}")
+    return res
 
 
-def _str(text, where):
+def _res(text):
+    res = _res_list(text)
+    if len(res) != 1:
+        raise ValueError(f"takes a single resolution, got {len(res)}")
+    return res[0]
+
+
+def _phi(text):
+    bad = parse_expression(text).variables - {"x1", "x2"}
+    if bad:
+        raise ValueError(f"uses {sorted(bad)}; surface charts provide x1 "
+                         "and x2 only")
     return text
 
 
-# Per-command key tables: name -> (converter, default).  `res` accepts
-# a comma list everywhere; commands that need a single value say so.
-_SCHEMAS = {
-    "curvature": {"res": (_ints, (33,)), "amplitude": (_float, 0.1),
-                  "phi": (_str, None), "seed": (_int, 0),
-                  "output": (_str, "curvature.csv")},
-    "flow": {"res": (_ints, None), "dt": (_float, None),
-             "steps": (_int, None), "amplitude": (_float, 0.1),
-             "phi": (_str, None), "r0": (_float, 1.0),
-             "snapshot_every": (_int, 0), "output": (_str, "flow.csv")},
-    "identity": {"res": (_ints, (32, 64)), "phi": (_str, "0.2*sin(x1)"),
-                 "amplitude": (_float, 0.1), "dt": (_float, None),
-                 "min_order": (_float, 1.8),
-                 "output": (_str, "identity.csv")},
-    "jacobi": {"res": (_ints, (512,)), "tolerance": (_float, 1e-3),
-               "output": (_str, "jacobi.csv")},
-    "systole": {"res": (_ints, (128,)), "r": (_float, 1.0),
-                "fiber": (_float, 10.0), "connectivity": (_int, 16),
-                "amplitude": (_float, 0.3),
-                "output": (_str, "systole.csv")},
-    "certify": {"res": (_ints, (128,)), "r": (_float, 1.0),
-                "fiber": (_float, 10.0), "connectivity": (_int, 16),
-                "lengths": (_floats, (TWO_PI, TWO_PI)),
-                "output": (_str, "certificates.txt")},
-}
-
-_GEOMETRIES = {
-    "curvature": ("flat-torus", "conformal-torus", "random-torus", "sphere"),
-    "flow": ("torus", "sphere"),
-    "identity": ("torus",),
-    "jacobi": ("equator",),
-    "systole": ("product-torus", "anisotropic-torus"),
-    "certify": ("disk-cylinder", "sphere-cylinder", "flat-torus", "all"),
-}
-
-# Keys whose explicit presence contradicts the chosen geometry.
-_MEANINGLESS = {
-    ("flow", "sphere"): ("amplitude", "phi", "snapshot_every"),
-    ("flow", "torus"): ("r0",),
-    ("systole", "product-torus"): ("amplitude",),
-    ("systole", "anisotropic-torus"): ("r", "fiber"),
-}
+_POSITIVE = _ruled(_float, lambda x: x > 0.0, "must be positive")
+_COUNT = _ruled(_int, lambda n: n >= 1, "must be at least 1")
+_NONNEGATIVE = _ruled(_int, lambda n: n >= 0, "must be nonnegative")
+_CONNECTIVITY = _ruled(_int, lambda n: n in (4, 8, 16), "must be 4, 8 or 16")
+_RES_ORDER = _ruled(_res_list, lambda res: len(res) >= 2,
+                    "needs at least two resolutions to measure an order")
+_LENGTHS = _ruled(lambda text: tuple(map(_float, text.split(","))),
+                  lambda ls: len(ls) <= 3 and all(l > 0.0 for l in ls),
+                  "takes 1 to 3 positive entries")
+_ANISO_AMPLITUDE = _ruled(_float, lambda a: -1.0 < a < 1.0,
+                          "must lie in (-1, 1) to keep the metric "
+                          "positive definite")
+_REQUIRED = object()   # the default of a key that has none
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One job: its command, its geometry, and a value for every key
+    the job reads (the table's default where the config sets none)."""
+
     command: str
     geometry: str
-    phi: str | None
-    resolutions: tuple
-    dt: float | None
-    steps: int | None
-    output_path: str
-    seed: int
-    options: dict
+    values: dict
 
 
 def parse_config_lines(text: str):
@@ -146,82 +137,33 @@ def parse_config_lines(text: str):
 
 
 def build_config(command: str, geometry: str, pairs) -> ExperimentConfig:
-    if command not in _SCHEMAS:
+    if command not in _JOBS:
         raise ConfigError(f"unknown command {command!r}; choose from "
-                          f"{', '.join(sorted(_SCHEMAS))}")
-    if geometry not in _GEOMETRIES[command]:
+                          f"{', '.join(sorted(_JOBS))}")
+    geometries = _JOBS[command][1]
+    if geometry not in geometries:
         raise ConfigError(f"unknown geometry {geometry!r} for {command}; "
-                          f"choose from {', '.join(_GEOMETRIES[command])}")
-    schema = _SCHEMAS[command]
-    values = {name: default for name, (_, default) in schema.items()}
+                          f"choose from {', '.join(geometries)}")
+    keys = geometries[geometry]
+    values = {key: default for key, (_, default) in keys.items()}
     provided = set()
-    for key, value, where in pairs:
-        if key not in schema:
-            raise ConfigError(f"{where}: unknown key {key!r} for {command} "
-                              f"(allowed: {', '.join(sorted(schema))})")
+    for key, text, where in pairs:
+        if key not in keys:
+            raise ConfigError(f"{where}: key {key!r} has no meaning for "
+                              f"{command} {geometry} "
+                              f"(allowed: {', '.join(sorted(keys))})")
         if key in provided:
             raise ConfigError(f"{where}: duplicate key {key!r}")
         provided.add(key)
-        values[key] = schema[key][0](value, where)
-    for key in _MEANINGLESS.get((command, geometry), ()):
-        if key in provided:
-            raise ConfigError(f"key {key!r} has no meaning for "
-                              f"{command} {geometry}")
-
-    _validate(command, geometry, values, provided)
-    phi = values.pop("phi", None)
-    if phi is not None:
-        expr = parse_expression(phi)
-        bad = expr.variables - {"x1", "x2"}
-        if bad:
-            raise ConfigError(f"phi uses {sorted(bad)}; surface charts "
-                              "provide x1 and x2 only")
-    res = values.pop("res")
-    return ExperimentConfig(
-        command, geometry, phi, res,
-        values.pop("dt", None), values.pop("steps", None),
-        values.pop("output"), values.pop("seed", 0), values)
-
-
-def _validate(command, geometry, values, provided):
-    res = values["res"]
-    if command == "flow":
-        if values["dt"] is None or values["steps"] is None:
-            raise ConfigError("flow needs both dt and steps")
-        if values["res"] is None:
-            values["res"] = (65,) if geometry == "sphere" else (32,)
-        res = values["res"]
-    if any(r < 8 for r in res):
-        raise ConfigError(f"res entries must be at least 8, got {res}")
-    if command in ("flow", "jacobi", "systole", "certify") and len(res) != 1:
-        raise ConfigError(f"{command} takes a single res, got {len(res)}")
-    if command == "identity" and len(res) < 2:
-        raise ConfigError("identity needs at least two resolutions "
-                          "to measure an order")
-    if values.get("dt") is not None and not values["dt"] > 0.0:
-        raise ConfigError("dt must be positive")
-    if values.get("steps") is not None and values["steps"] < 1:
-        raise ConfigError("steps must be at least 1")
-    if values.get("connectivity") not in (None, 4, 8, 16):
-        raise ConfigError("connectivity must be 4, 8 or 16")
-    if values.get("tolerance") is not None and not values["tolerance"] > 0.0:
-        raise ConfigError("tolerance must be positive")
-    for key in ("r", "r0", "fiber"):
-        if values.get(key) is not None and not values[key] > 0.0:
-            raise ConfigError(f"{key} must be positive")
-    lengths = values.get("lengths", ())
-    if any(not l > 0.0 for l in lengths):
-        raise ConfigError("lengths must be positive")
-    if len(lengths) > 3:
-        raise ConfigError(f"lengths takes 1 to 3 entries, got {len(lengths)}")
-    if values.get("seed", 0) < 0:
-        raise ConfigError("seed must be nonnegative")
-    if geometry == "anisotropic-torus" \
-            and not -1.0 < values["amplitude"] < 1.0:
-        raise ConfigError("amplitude must lie in (-1, 1) to keep the "
-                          "metric positive definite")
-    if values.get("snapshot_every", 0) < 0:
-        raise ConfigError("snapshot_every must be nonnegative")
+        try:
+            values[key] = keys[key][0](text)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {key} {exc}") from None
+    missing = [key for key, value in values.items() if value is _REQUIRED]
+    if missing:
+        raise ConfigError(f"{command} {geometry} needs a value for "
+                          f"{' and '.join(missing)}")
+    return ExperimentConfig(command, geometry, values)
 
 
 def emit_series(records, path, columns) -> None:
@@ -287,23 +229,23 @@ def _random_torus(res, amplitude, seed):
     return grid, TensorField(grid, 2, vals)
 
 
-def _build_surface(config, res):
-    geometry = config.geometry
+def _build_surface(geometry, values, res):
     if geometry == "flat-torus":
         return flat_torus(res, (TWO_PI, TWO_PI))
     if geometry == "conformal-torus":
-        grid, metric, _ = conformal_torus(res, config.options["amplitude"])
+        grid, metric, _ = conformal_torus(res, values["amplitude"])
         return grid, metric
     if geometry == "random-torus":
-        return _random_torus(res, config.options["amplitude"], config.seed)
+        return _random_torus(res, values["amplitude"], values["seed"])
     return sphere_band(res | 1, res)
 
 
 def _run_curvature(config) -> int:
+    values = config.values
     rows = []
-    for res in config.resolutions:
-        grid, metric = _build_surface(config, res)
-        phi = _phi_field(grid, config.phi)
+    for res in values["res"]:
+        grid, metric = _build_surface(config.geometry, values, res)
+        phi = _phi_field(grid, values["phi"])
         state = make_flow_state(0.0, metric, phi)
         gap = float(np.abs(ricci_hessian_gap(state)).max())
         rows.append({"resolution": res,
@@ -312,31 +254,43 @@ def _run_curvature(config) -> int:
                      "F": f_functional(metric, phi,
                                        stabilized=state.stabilized),
                      "max_ricci_hessian_gap": gap})
-    path = _resolve_output(config.output_path)
+    path = _resolve_output(values["output"])
     emit_series(rows, path, ["resolution", "inf_S", "sup_S", "F",
                              "max_ricci_hessian_gap"])
     print(f"curvature: {len(rows)} resolutions -> {path}")
     return 0
 
 
+def _snapshots(states, every, directory):
+    """Pass the states on, writing every `every`-th stepped one to
+    `state_{k:06d}.snap` in `directory` as it streams past."""
+    for k, state in enumerate(states):
+        if k and k % every == 0:
+            write_snapshot(os.path.join(directory, f"state_{k:06d}.snap"),
+                           state.metric.grid,
+                           {"metric": state.metric, "phi": state.phi})
+        yield state
+
+
 def _run_flow(config) -> int:
-    res = config.resolutions[0]
-    path = _resolve_output(config.output_path)
+    values = config.values
+    path = _resolve_output(values["output"])
+    dt = values["dt"]
     if config.geometry == "sphere":
         # about 17 of the steps + 1 profiles, lifted as they stream past
-        stride = max((config.steps + 1) // 17, 1)
-        profiles = profile_states(round_profile(res, config.options["r0"]),
-                                  config.dt, config.steps)
+        stride = max((values["steps"] + 1) // 17, 1)
+        profiles = profile_states(round_profile(values["res"], values["r0"]),
+                                  dt, values["steps"])
         states = map(profile_state, islice(profiles, 0, None, stride))
-        dt = config.dt * stride
+        dt *= stride
     else:
-        grid, metric, _ = conformal_torus(res, config.options["amplitude"])
-        phi = _phi_field(grid, config.phi)
-        states = flow_states(make_flow_state(0.0, metric, phi), config.dt,
-                             config.steps,
-                             snapshot_every=config.options["snapshot_every"],
-                             snapshot_dir=os.path.dirname(path) or ".")
-        dt = config.dt
+        grid, metric, _ = conformal_torus(values["res"], values["amplitude"])
+        phi = _phi_field(grid, values["phi"])
+        states = flow_states(make_flow_state(0.0, metric, phi), dt,
+                             values["steps"])
+        if values["snapshot_every"]:
+            states = _snapshots(states, values["snapshot_every"],
+                                os.path.dirname(path) or ".")
     # the report folds the stream through a three-state window, so the
     # run holds three states however many steps it takes
     report = monotonicity_report(states, dt)
@@ -353,18 +307,19 @@ def _run_flow(config) -> int:
 
 
 def _run_identity(config) -> int:
+    values = config.values
     states = []
-    for res in config.resolutions:
-        grid, metric, _ = conformal_torus(res, config.options["amplitude"])
-        phi = _phi_field(grid, config.phi)
+    for res in values["res"]:
+        grid, metric, _ = conformal_torus(res, values["amplitude"])
+        phi = _phi_field(grid, values["phi"])
         states.append(make_flow_state(0.0, metric, phi))
     # default dt: half the tightest step bound across the list, so one
     # shared dt works on every level and its error stays far below h^2
-    dt = config.dt
+    dt = values["dt"]
     if dt is None:
         dt = 0.5 * min(cfl_bound(s) for s in states)
     rows = []
-    for res, state in zip(config.resolutions, states):
+    for res, state in zip(values["res"], states):
         # midpoint states keep the time-slope error at O(dt^2), far
         # below the h^2 signal the order fit is after
         prev, mid, nxt = flow_states(state, dt, 2, scheme="midpoint")
@@ -373,7 +328,7 @@ def _run_identity(config) -> int:
         adj = float(np.abs(adjoint_supersolution_residual(state).values).max())
         rows.append({"resolution": res, "evolution_residual_maxnorm": evo,
                      "adjoint_residual_maxnorm": adj})
-    path = _resolve_output(config.output_path)
+    path = _resolve_output(values["output"])
     emit_series(rows, path, ["resolution", "evolution_residual_maxnorm",
                              "adjoint_residual_maxnorm"])
     levels = np.log2([float(r["resolution"]) for r in rows])
@@ -381,29 +336,29 @@ def _run_identity(config) -> int:
     for column in ("evolution_residual_maxnorm", "adjoint_residual_maxnorm"):
         errs = np.log2([r[column] for r in rows])
         orders.append(-np.polyfit(levels, errs, 1)[0])
-    good = all(o >= config.options["min_order"] for o in orders)
+    good = all(o >= values["min_order"] for o in orders)
     print(f"identity: order_evolution={orders[0]:.3f} "
           f"order_adjoint={orders[1]:.3f} "
-          f"(min {config.options['min_order']:g}) "
+          f"(min {values['min_order']:g}) "
           f"verdict={'pass' if good else 'fail'} -> {path}")
     return 0 if good else 2
 
 
 def _run_jacobi(config) -> int:
-    res = config.resolutions[0]
+    res = config.values["res"]
     grid, metric = sphere_band(65, res)
     emb = embed_graph(metric, lambda p: np.full(p.shape, np.pi / 2),
                       graph_axis=0)
     problem = assemble_jacobi(emb, ScalarField(grid, np.ones(grid.shape)))
     pair = principal_eigenpair(problem)
-    path = _resolve_output(config.output_path)
+    path = _resolve_output(config.values["output"])
     u = pair.eigenfunction.values
     emit_series([{"problem": f"equator-{res}", "eigenvalue": pair.eigenvalue,
                   "residual": pair.residual, "iterations": pair.iterations,
                   "u_min": u.min(), "u_max": u.max()}],
                 path, ["problem", "eigenvalue", "residual", "iterations",
                        "u_min", "u_max"])
-    tol = config.options["tolerance"]
+    tol = config.values["tolerance"]
     gap = abs(pair.eigenvalue + 1.0)
     positive = bool(u.min() > 0.0)
     good = gap <= tol and positive
@@ -423,20 +378,20 @@ def _aniso_metric_fn(amplitude):
 
 
 def _run_systole(config) -> int:
-    res = config.resolutions[0]
-    conn = config.options["connectivity"]
+    values = config.values
+    res, conn = values["res"], values["connectivity"]
     if config.geometry == "product-torus":
-        grid, metric = torus_surface(res, res, radius=config.options["r"],
-                                     fiber_len=config.options["fiber"])
+        grid, metric = torus_surface(res, res, radius=values["r"],
+                                     fiber_len=values["fiber"])
         graph = build_winding_graph(grid, metric, xi_axis=0,
                                     connectivity=conn)
     else:
-        amp = config.options["amplitude"]
         grid, _ = flat_torus(res, (TWO_PI, TWO_PI))
-        graph = build_winding_graph(grid, _aniso_metric_fn(amp), xi_axis=0,
+        metric_fn = _aniso_metric_fn(values["amplitude"])
+        graph = build_winding_graph(grid, metric_fn, xi_axis=0,
                                     connectivity=conn)
     sigma, cycle = systole_sigma(graph)
-    path = _resolve_output(config.output_path)
+    path = _resolve_output(values["output"])
     emit_series([{"resolution": res, "connectivity": conn, "sigma": sigma,
                   "cycle_nodes": len(cycle) - 1,
                   "quantization_bound": quantization_bound(conn)}],
@@ -447,21 +402,25 @@ def _run_systole(config) -> int:
     return 0
 
 
+# Certify geometry -> its model, built from the job's values.
+_MODELS = {
+    "disk-cylinder": lambda v: DiskCylinder(v["r"], (v["fiber"],)),
+    "sphere-cylinder": lambda v: SphereCylinder(v["r"], (v["fiber"],)),
+    "flat-torus": lambda v: FlatTorus(v["lengths"]),
+}
+
+
 def _run_certify(config) -> int:
-    res = config.resolutions[0]
-    conn = config.options["connectivity"]
-    wanted = {
-        "disk-cylinder": [DiskCylinder(config.options["r"],
-                                       (config.options["fiber"],))],
-        "sphere-cylinder": [SphereCylinder(config.options["r"],
-                                           (config.options["fiber"],))],
-        "flat-torus": [FlatTorus(tuple(config.options["lengths"]))],
-    }
-    models = wanted.get(config.geometry) or \
-        [m for group in wanted.values() for m in group]
-    certs = [equality_certificate(m, resolution=res, connectivity=conn)
-             for m in models]
-    path = _resolve_output(config.output_path)
+    values = config.values
+    names = list(_MODELS) if config.geometry == "all" else [config.geometry]
+    # the connectivity is listed only where a disk cylinder's systole
+    # reads it
+    options = {"connectivity": values["connectivity"]} \
+        if "connectivity" in values else {}
+    certs = [equality_certificate(_MODELS[name](values),
+                                  resolution=values["res"], **options)
+             for name in names]
+    path = _resolve_output(values["output"])
     with open(path, "w", newline="\n") as fh:
         fh.writelines(certificate_line(cert) + "\n" for cert in certs)
     failures = [c for c in certs if c.verdict != "pass"]
@@ -472,13 +431,55 @@ def _run_certify(config) -> int:
     return 2 if failures else 0
 
 
-_RUNNERS = {"curvature": _run_curvature, "flow": _run_flow,
-            "identity": _run_identity, "jacobi": _run_jacobi,
-            "systole": _run_systole, "certify": _run_certify}
+# The one job table: command -> (runner, geometry -> {key: (converter,
+# default)}).  Each geometry lists exactly the keys its job reads; a
+# converter carries the key's range rule, and _REQUIRED marks a key
+# the config must set.
+_SURFACE = {"res": (_res_list, (33,)), "phi": (_phi, None),
+            "output": (str, "curvature.csv")}
+_FLOW = {"dt": (_POSITIVE, _REQUIRED), "steps": (_COUNT, _REQUIRED),
+         "output": (str, "flow.csv")}
+_CYLINDER = {"r": (_POSITIVE, 1.0), "fiber": (_POSITIVE, 10.0)}
+_SYSTOLE = {"res": (_res, 128), "connectivity": (_CONNECTIVITY, 16),
+            "output": (str, "systole.csv")}
+_CERTIFY = {"res": (_res, 128), "output": (str, "certificates.txt")}
+_LENGTHS_KEY = {"lengths": (_LENGTHS, (TWO_PI, TWO_PI))}
+
+_JOBS = {
+    "curvature": (_run_curvature, {
+        "flat-torus": _SURFACE,
+        "conformal-torus": {**_SURFACE, "amplitude": (_float, 0.1)},
+        "random-torus": {**_SURFACE, "amplitude": (_float, 0.1),
+                         "seed": (_NONNEGATIVE, 0)},
+        "sphere": _SURFACE}),
+    "flow": (_run_flow, {
+        "torus": {**_FLOW, "res": (_res, 32), "amplitude": (_float, 0.1),
+                  "phi": (_phi, None), "snapshot_every": (_NONNEGATIVE, 0)},
+        "sphere": {**_FLOW, "res": (_res, 65), "r0": (_POSITIVE, 1.0)}}),
+    "identity": (_run_identity, {
+        "torus": {"res": (_RES_ORDER, (32, 64)),
+                  "phi": (_phi, "0.2*sin(x1)"), "amplitude": (_float, 0.1),
+                  "dt": (_POSITIVE, None), "min_order": (_float, 1.8),
+                  "output": (str, "identity.csv")}}),
+    "jacobi": (_run_jacobi, {
+        "equator": {"res": (_res, 512), "tolerance": (_POSITIVE, 1e-3),
+                    "output": (str, "jacobi.csv")}}),
+    "systole": (_run_systole, {
+        "product-torus": {**_SYSTOLE, **_CYLINDER},
+        "anisotropic-torus": {**_SYSTOLE,
+                              "amplitude": (_ANISO_AMPLITUDE, 0.3)}}),
+    "certify": (_run_certify, {
+        "disk-cylinder": {**_CERTIFY, **_CYLINDER,
+                          "connectivity": (_CONNECTIVITY, 16)},
+        "sphere-cylinder": {**_CERTIFY, **_CYLINDER},
+        "flat-torus": {**_CERTIFY, **_LENGTHS_KEY},
+        "all": {**_CERTIFY, **_CYLINDER, **_LENGTHS_KEY,
+                "connectivity": (_CONNECTIVITY, 16)}}),
+}
 
 
 def run(config: ExperimentConfig) -> int:
-    return _RUNNERS[config.command](config)
+    return _JOBS[config.command][0](config)
 
 
 def main(argv=None) -> int:
@@ -518,9 +519,6 @@ def main(argv=None) -> int:
                 rest.append((key, value, f"argument {k}"))
             config = build_config(args[0], args[1], rest)
         return run(config)
-    except (ConfigError, ExpressionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,16 +14,15 @@ do not need implicit solvers.
 Both flows stream: `flow_states` and `profile_states` yield one state
 at a time, and `monotonicity_report` folds a stream once through a
 three-state window into every per-state series, the identity residual
-included.  This module writes no result files; snapshots go through
-`charts.write_snapshot`.
+included.  This module writes no files: the CLI writes the torus
+flow's snapshots as the states stream past.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import ScalarField, TensorField, make_chart, write_snapshot
+from .charts import ScalarField, TensorField, make_chart
 from .curvature import (
     CurvatureBundle,
     PotentialDerivatives,
@@ -104,25 +103,14 @@ def step_coupled_flow(state: FlowState, dt: float,
 
 
 def flow_states(state: FlowState, dt: float, steps: int,
-                scheme: str = "euler", snapshot_every: int = 0,
-                snapshot_dir=None):
-    """Yield the given state, then each stepped state, checkpointing
-    every snapshot_every-th one; only the latest state is held here."""
+                scheme: str = "euler"):
+    """Yield the given state, then each stepped state; only the latest
+    state is held here."""
     if steps < 1:
         raise ValueError("need at least one step")
-    if snapshot_every < 0:
-        raise ValueError(f"snapshot_every must be >= 0, got "
-                         f"{snapshot_every}")
-    if snapshot_every and snapshot_dir is None:
-        raise ValueError("snapshot_every > 0 needs a snapshot_dir")
     yield state
-    for k in range(steps):
+    for _ in range(steps):
         state = step_coupled_flow(state, dt, scheme)
-        if snapshot_every and (k + 1) % snapshot_every == 0:
-            write_snapshot(
-                os.path.join(snapshot_dir, f"state_{k + 1:06d}.snap"),
-                state.metric.grid,
-                {"metric": state.metric, "phi": state.phi})
         yield state
 
 

@@ -56,21 +56,6 @@ class SpectralProblem:
     potential: np.ndarray
     robin: dict
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return (self.operator @ values.reshape(-1)).reshape(self.grid.shape)
-
-    def inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        return tree_sum(u.reshape(-1) * v.reshape(-1) * self.mass)
-
-    def shifted(self, constant: float) -> "SpectralProblem":
-        """Same problem with the zeroth-order coefficient raised by a
-        constant; the matrix shift is exact, so eigenvalues move by
-        exactly that constant."""
-        shift = sparse.identity(self.operator.shape[0], format="csr")
-        return SpectralProblem(self.grid, self.operator + constant * shift,
-                               self.mass, self.weight,
-                               self.potential + constant, self.robin)
-
 
 def _axis_derivative_matrix(grid: ChartGrid, axis: int) -> sparse.csr_matrix:
     """Sparse first derivative along one axis, one-sided at boundaries."""

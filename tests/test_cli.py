@@ -30,7 +30,7 @@ from sclab.cli import (
     main,
     parse_config_lines,
 )
-from sclab.charts import ScalarField
+from sclab.charts import ScalarField, read_snapshot
 from sclab.flow import (SphereProfile, flow_states, make_flow_state,
                         monotonicity_report)
 from sclab.hypersurface import embed_graph
@@ -103,24 +103,33 @@ class TestConfigParsing:
                           ("phi", "x1", "c")])
 
     def test_defaults_applied(self):
+        # a value for exactly the keys the job reads, defaults included
         config = build_config("curvature", "flat-torus", [])
-        assert config.resolutions == (33,)
-        assert config.seed == 0
-        assert config.phi is None
-        assert config.output_path == "curvature.csv"
+        assert config == ExperimentConfig(
+            "curvature", "flat-torus",
+            {"res": (33,), "phi": None, "output": "curvature.csv"})
+
+    def test_flow_default_res_per_geometry(self):
+        pairs = [("dt", "1e-4", "a"), ("steps", "5", "b")]
+        assert build_config("flow", "torus", pairs).values["res"] == 32
+        assert build_config("flow", "sphere", pairs).values["res"] == 65
 
     def test_res_list_parsed(self):
         config = build_config("identity", "torus",
                               [("res", "32,64,128", "a")])
-        assert config.resolutions == (32, 64, 128)
+        assert config.values["res"] == (32, 64, 128)
 
     def test_res_floor(self):
         with pytest.raises(ConfigError, match="at least 8"):
             build_config("curvature", "flat-torus", [("res", "4", "a")])
 
     def test_flow_needs_dt_and_steps(self):
-        with pytest.raises(ConfigError, match="dt and steps"):
+        with pytest.raises(ConfigError,
+                           match="flow torus needs a value for steps$"):
             build_config("flow", "torus", [("dt", "1e-4", "a")])
+        with pytest.raises(ConfigError,
+                           match="flow sphere needs a value for dt and steps"):
+            build_config("flow", "sphere", [])
 
     def test_single_res_commands_reject_lists(self):
         with pytest.raises(ConfigError, match="single res"):
@@ -141,23 +150,54 @@ class TestConfigParsing:
                           ("steps", "5", "argument 6")])
 
     def test_range_checks(self):
-        with pytest.raises(ConfigError, match="dt must be positive"):
+        # each rejection names its location, then the key
+        with pytest.raises(ConfigError, match="^a: dt must be positive"):
             build_config("flow", "torus",
                          [("dt", "-1e-4", "a"), ("steps", "5", "b")])
-        with pytest.raises(ConfigError, match="steps must be at least 1"):
+        with pytest.raises(ConfigError,
+                           match="^b: steps must be at least 1"):
             build_config("flow", "torus",
                          [("dt", "1e-4", "a"), ("steps", "0", "b")])
-        with pytest.raises(ConfigError, match="connectivity"):
+        with pytest.raises(ConfigError,
+                           match="^a: connectivity must be 4, 8 or 16"):
             build_config("systole", "product-torus",
                          [("connectivity", "6", "a")])
-        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        with pytest.raises(ConfigError,
+                           match="^a: seed must be nonnegative"):
             build_config("curvature", "random-torus", [("seed", "-1", "a")])
-        with pytest.raises(ConfigError, match="lengths takes 1 to 3"):
+        with pytest.raises(ConfigError, match="^a: lengths takes 1 to 3"):
             build_config("certify", "flat-torus",
                          [("lengths", "1,2,3,4", "a")])
-        with pytest.raises(ConfigError, match="amplitude must lie"):
+        with pytest.raises(ConfigError, match="^a: amplitude must lie"):
             build_config("systole", "anisotropic-torus",
                          [("amplitude", "1.5", "a")])
+
+
+# (command, geometry, key=value) where the job does not read the key
+UNREAD_KEYS = [
+    ("curvature", "flat-torus", "amplitude=0.2"),
+    ("curvature", "flat-torus", "seed=3"),
+    ("curvature", "conformal-torus", "seed=3"),
+    ("curvature", "sphere", "amplitude=0.2"),
+    ("curvature", "sphere", "seed=3"),
+    ("certify", "disk-cylinder", "lengths=1,2"),
+    ("certify", "sphere-cylinder", "connectivity=8"),
+    ("certify", "sphere-cylinder", "lengths=1,2"),
+    ("certify", "flat-torus", "r=2"),
+    ("certify", "flat-torus", "fiber=3"),
+    ("certify", "flat-torus", "connectivity=8"),
+]
+
+
+@pytest.mark.parametrize("command,geometry,setting", UNREAD_KEYS,
+                         ids=[":".join(job) for job in UNREAD_KEYS])
+def test_unread_key_rejected(out_dir, capsys, command, geometry, setting):
+    assert main([command, geometry, "res=16", setting]) == 1
+    err = capsys.readouterr().err
+    key = setting.split("=")[0]
+    assert err.startswith(f"error: argument 4: key {key!r} has no meaning "
+                          f"for {command} {geometry} (allowed: ")
+    assert os.listdir(out_dir) == []
 
 
 class TestEmitSeries:
@@ -267,6 +307,30 @@ class TestFlowCommand:
         t = column(out_dir / "flow.csv", "t")
         assert len(t) == 21
         assert t[-1] == pytest.approx(0.02, rel=1e-12)
+
+    def test_snapshots_round_trip(self, out_dir):
+        # the CLI writes every second stepped state as it streams past;
+        # each snapshot holds that state of the library run bit for bit
+        assert main(["flow", "torus", "res=16", "dt=1e-3", "steps=6",
+                     "snapshot_every=2"]) == 0
+        names = sorted(p.name for p in out_dir.glob("state_*.snap"))
+        assert names == ["state_000002.snap", "state_000004.snap",
+                         "state_000006.snap"]
+        grid, metric, _ = conformal_torus(16, 0.1)
+        state = make_flow_state(0.0, metric,
+                                ScalarField(grid, np.zeros(grid.shape)))
+        states = tuple(flow_states(state, 1e-3, 6))
+        _, fields = read_snapshot(out_dir / "state_000004.snap")
+        assert np.array_equal(fields["metric"].values,
+                              states[4].metric.values)
+        assert np.array_equal(fields["phi"].values, states[4].phi.values)
+
+    def test_negative_snapshot_interval_rejected(self, out_dir, capsys):
+        assert main(["flow", "torus", "res=16", "dt=1e-3", "steps=4",
+                     "snapshot_every=-1"]) == 1
+        assert "error: argument 6: snapshot_every must be nonnegative" \
+            in capsys.readouterr().err
+        assert os.listdir(out_dir) == []
 
     def test_series_cells_match_report_bit_for_bit(self, out_dir):
         assert main(["flow", "torus", "res=16", "amplitude=0.1", "dt=1e-3",

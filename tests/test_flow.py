@@ -7,8 +7,6 @@ Oracles, independent of the stepper under test:
   - closed-form cancellations: flat data must sit at machine zero.
 """
 
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import dense_tensor_norm_sq, random_spd_metric
 from sclab import flow
-from sclab.charts import (PERIODIC, ScalarField, diff_array, make_chart,
-                          read_snapshot)
+from sclab.charts import PERIODIC, ScalarField, diff_array, make_chart
 from sclab.flow import (
     SphereProfile,
     adjoint_supersolution_residual,
@@ -153,35 +150,6 @@ class TestStepping:
         assert len(states) == 5
         times = [s.t for s in states]
         assert np.allclose(np.diff(times), 1.0e-3, rtol=0, atol=1e-15)
-
-    def test_snapshots_round_trip(self, tmp_path):
-        grid, metric, _ = conformal_torus((16, 16), amplitude=0.1)
-        state = make_flow_state(0.0, metric, zero_phi(grid))
-        states = tuple(flow_states(state, 1.0e-3, 6, snapshot_every=2,
-                                   snapshot_dir=tmp_path))
-        names = sorted(os.listdir(tmp_path))
-        assert names == ["state_000002.snap", "state_000004.snap",
-                         "state_000006.snap"]
-        _, fields = read_snapshot(tmp_path / "state_000004.snap")
-        assert np.array_equal(fields["metric"].values,
-                              states[4].metric.values)
-        assert np.array_equal(fields["phi"].values, states[4].phi.values)
-
-    def test_snapshots_need_a_directory(self):
-        grid, metric = flat_torus((8, 8))
-        state = make_flow_state(0.0, metric, zero_phi(grid))
-        stream = flow_states(state, 1.0e-3, 4, snapshot_every=2)
-        with pytest.raises(ValueError, match="snapshot_dir"):
-            next(stream)
-
-    def test_negative_snapshot_interval_rejected(self, tmp_path):
-        grid, metric = flat_torus((8, 8))
-        state = make_flow_state(0.0, metric, zero_phi(grid))
-        stream = flow_states(state, 1.0e-3, 4, snapshot_every=-1,
-                             snapshot_dir=tmp_path)
-        with pytest.raises(ValueError, match="snapshot_every"):
-            next(stream)
-        assert os.listdir(tmp_path) == []
 
 
 class TestProfileFlow:

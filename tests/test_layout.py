@@ -1,12 +1,13 @@
 """Module layout: no sclab module imports another module's private
 names, only charts runs stencil loops, inverts a metric or builds a
-grid, and only charts (snapshots) and cli (job outputs) write files.
+grid, only charts (snapshots) and cli (job outputs) write files, and
+only cli decides when a snapshot is written.
 
 Every file under src/sclab is parsed with ast; a relative import of a
 name with a leading underscore, a call of `diff_array`,
-`np.linalg.inv`, `np.linalg.det` or `ChartGrid` outside charts.py, or
-an `open(...)` for writing outside charts.py and cli.py, is reported
-with its file and line.
+`np.linalg.inv`, `np.linalg.det` or `ChartGrid` outside charts.py, an
+`open(...)` for writing outside charts.py and cli.py, or a call of
+`write_snapshot` outside cli.py, is reported with its file and line.
 """
 
 import ast
@@ -197,3 +198,34 @@ def test_write_detector_names_file_and_line(tmp_path):
     assert write_opens(sample) == [
         "sample.py:3: open(..., 'w')", "sample.py:4: open(..., 'ab')",
         "sample.py:6: open(..., 'r+')", "sample.py:7: open(..., m)"]
+
+
+def snapshot_writes(path: Path) -> list:
+    """`file:line: write_snapshot(...)` for each snapshot write."""
+    return [f"{path.name}:{line}: write_snapshot(...)"
+            for line, name in call_names(path)
+            if name.split(".")[-1] == "write_snapshot"]
+
+
+def test_snapshots_are_written_only_by_cli():
+    # flow_states has no file side effect, so a replay of a stretch of
+    # the flow (a checkpoint segment) writes nothing
+    paths = sorted(SOURCE.glob("*.py"))
+    assert SOURCE / "flow.py" in paths
+    found = [line for path in paths if path.name != "cli.py"
+             for line in snapshot_writes(path)]
+    assert not found, "write_snapshot called outside cli.py:\n" + \
+        "\n".join(found)
+    assert snapshot_writes(SOURCE / "cli.py")
+
+
+def test_snapshot_detector_names_file_and_line(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("from .charts import write_snapshot, read_snapshot\n"
+                      "write_snapshot(p, grid, fields)\n"
+                      "charts.write_snapshot(\n    p, grid, fields)\n"
+                      "read_snapshot(p)\n"
+                      "writer = write_snapshot\n")
+    assert snapshot_writes(sample) == [
+        "sample.py:2: write_snapshot(...)",
+        "sample.py:3: write_snapshot(...)"]
