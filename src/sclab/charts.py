@@ -451,26 +451,38 @@ def write_snapshot(path, grid: ChartGrid, fields: dict) -> None:
 
 
 def read_snapshot(path) -> tuple[ChartGrid, dict]:
+    # lines end in "\n": after the last one is "" or a cut line, dropped
     with open(path) as fh:
-        tokens = fh.read().split("\n")
-    it = iter(tokens)
-    if next(it) != _SNAP_MAGIC:
+        lines = iter(fh.read().split("\n")[:-1])
+
+    def next_line(expected: str) -> str:
+        line = next(lines, None)
+        if line is None:
+            raise ValueError(f"{path}: snapshot is truncated: expected "
+                             f"{expected}")
+        return line
+
+    def record(key: str) -> str:
+        return _expect(next_line(f"the {key!r} record"), key)
+
+    if next_line("the magic line") != _SNAP_MAGIC:
         raise ValueError(f"{path}: not a chart snapshot")
-    dim = int(_expect(next(it), "dim"))
-    resolution = tuple(int(x) for x in _expect(next(it), "resolution").split())
-    extent = tuple(float(x) for x in _expect(next(it), "extent").split())
-    topology = tuple(_expect(next(it), "topology").split())
-    origin = tuple(float(x) for x in _expect(next(it), "origin").split())
+    dim = int(record("dim"))
+    resolution = tuple(int(x) for x in record("resolution").split())
+    extent = tuple(float(x) for x in record("extent").split())
+    topology = tuple(record("topology").split())
+    origin = tuple(float(x) for x in record("origin").split())
     grid = make_chart(dim, resolution, extent, topology, origin=origin)
-    nfields = int(_expect(next(it), "fields"))
+    nfields = int(record("fields"))
     fields = {}
     for _ in range(nfields):
-        head = _expect(next(it), "field").split()
+        head = record("field").split()
         name, rank = head[0], int(head[1])
         count = grid.node_count * grid.dim ** rank
         vals = []
         while len(vals) < count:
-            vals.extend(float(x) for x in next(it).split())
+            vals.extend(float(x) for x in next_line(
+                f"{count - len(vals)} more values of field {name!r}").split())
         if len(vals) != count:
             raise ValueError(f"{path}: field {name}: value count mismatch")
         arr = np.array(vals).reshape(grid.shape + (grid.dim,) * rank)

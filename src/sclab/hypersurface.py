@@ -169,7 +169,6 @@ class HypersurfaceEmbedding:
     ambient_metric: TensorField
     ambient_bundle: CurvatureBundle
     graph_axis: int
-    orientation: int
     slice_grid: ChartGrid
     graph_height: ScalarField
     sampler: GraphSampler
@@ -286,7 +285,7 @@ def embed_graph(metric: TensorField, height, graph_axis: int | None = None,
             boundary_normal[(a, side)] = eta
 
     return HypersurfaceEmbedding(
-        grid, metric, bundle, graph_axis, orientation, slice_grid, height,
+        grid, metric, bundle, graph_axis, slice_grid, height,
         sampler, frame, nu, co, induced, induced_inv, second,
         ScalarField(slice_grid, mean), boundary_normal)
 
@@ -470,32 +469,53 @@ def weighted_area_variation(fol: GraphFoliation) -> AreaVariation:
                          rate - variation)
 
 
-def _face_graph(metric: TensorField, bundle: CurvatureBundle, axis: int,
-                side: int) -> HypersurfaceEmbedding:
-    """Constant graph through the first (side 0) or last (side 1) node
-    row of one axis of the metric's chart, normal pointing out of it."""
-    coord = metric.grid.axis_coords(axis)[-1 if side else 0]
-    return embed_graph(metric, lambda *ys: np.full(ys[0].shape, coord),
-                       graph_axis=axis, orientation=1 if side else -1,
-                       bundle=bundle)
+@dataclass(frozen=True)
+class CoordinateFace:
+    """A coordinate face {x_axis = c} at points on it: outward unit
+    normal covector (all ambient components), second fundamental form
+    on the face's axes, and mean curvature."""
+
+    axis: int
+    normal_covector: np.ndarray
+    second_fundamental: np.ndarray
+    mean_curvature: np.ndarray
+
+
+def _coordinate_face(metric: np.ndarray, christoffel: np.ndarray, axis: int,
+                     side: int) -> CoordinateFace:
+    """The face through the first (side 0) or last (side 1) row of an
+    axis, from g and Gamma at points of it: N_axis = +-1/sqrt(g^{axis
+    axis}), h_bc = -N_axis Gamma^axis_bc, H = (g|face)^{bc} h_bc, which
+    is embed_graph's constant graph (no height derivatives)."""
+    face = [i for i in range(metric.shape[-1]) if i != axis]
+    n_axis = (1.0 if side else -1.0) / np.sqrt(
+        inverse_and_determinant(metric)[0][..., axis, axis])
+    co = np.zeros(metric.shape[:-1])
+    co[..., axis] = n_axis
+    second = -(n_axis[..., None, None]
+               * christoffel[..., axis, :, :][..., face, :][..., face])
+    face_inv = inverse_and_determinant(metric[..., face, :][..., face])[0]
+    mean = np.einsum("...ab,...ab->...", face_inv, second, optimize=False)
+    return CoordinateFace(axis, co, second, mean)
 
 
 def chart_wall(emb: HypersurfaceEmbedding, axis: int,
-               side: int) -> tuple[HypersurfaceEmbedding, GraphSampler]:
-    """The chart wall through one boundary face of the slice grid.
-
-    The wall is the constant graph on the matching ambient axis, built
-    on the hypersurface's own ambient bundle with its normal pointing
-    out of the chart; the sampler carries wall nodal data to the points
-    where the hypersurface meets the wall.
-    """
-    kept = [a for a in range(emb.ambient_grid.dim) if a != emb.graph_axis]
-    amb_axis = kept[axis]
-    wall = _face_graph(emb.ambient_metric, emb.ambient_bundle, amb_axis,
-                       side)
+               side: int) -> CoordinateFace:
+    """The chart wall through one boundary face of the slice grid, read
+    in closed form where the hypersurface meets it: g and Gamma on the
+    wall's node row of the ambient bundle, sampled at the contact
+    heights."""
+    amb_axis = axis + (axis >= emb.graph_axis)    # slice axis -> ambient
+    row = -1 if side else 0
     axis_in_wall = emb.graph_axis - (1 if amb_axis < emb.graph_axis else 0)
-    heights = np.take(emb.graph_height.values, -1 if side else 0, axis=axis)
-    return wall, _make_sampler(wall.slice_grid, axis_in_wall, heights)
+    sampler = _make_sampler(emb.ambient_grid.drop_axis(amb_axis),
+                            axis_in_wall,
+                            np.take(emb.graph_height.values, row, axis=axis))
+    return _coordinate_face(
+        sampler.take(np.take(emb.ambient_metric.values, row, axis=amb_axis)),
+        sampler.take(np.take(emb.ambient_bundle.christoffel, row,
+                             axis=amb_axis)),
+        amb_axis, side)
 
 
 @dataclass(frozen=True)
@@ -513,10 +533,10 @@ def boundary_trace_identity(emb: HypersurfaceEmbedding, rho: ScalarField,
                             phi: ScalarField) -> dict:
     """Residual of the boundary trace relation on every boundary face.
 
-    Face curvatures come from recursive constant-graph embeddings, both
-    built by `_face_graph` with outward normals: the face inside the
-    hypersurface, and the matching chart wall inside the ambient
-    manifold.
+    Face curvatures are read in closed form with outward normals: the
+    face inside the hypersurface from the induced metric's Christoffel
+    symbols on its row, and the matching chart wall inside the ambient
+    manifold from `chart_wall`.
     """
     if not emb.boundary_normal:
         raise ValueError("hypersurface has no boundary faces")
@@ -534,13 +554,12 @@ def boundary_trace_identity(emb: HypersurfaceEmbedding, rho: ScalarField,
 
     out = {}
     for (a, side), eta in emb.boundary_normal.items():
-        h_face = _face_graph(emb.induced_metric, slice_bundle, a,
-                             side).mean_curvature.values
-
-        wall, wall_sampler = chart_wall(emb, a, side)
-        h_wall = wall_sampler.take(wall.mean_curvature.values)
-
         row = -1 if side else 0
+        h_face = _coordinate_face(
+            np.take(emb.induced_metric.values, row, axis=a),
+            np.take(slice_bundle.christoffel, row, axis=a), a,
+            side).mean_curvature
+        h_wall = chart_wall(emb, a, side).mean_curvature
         lhs = np.einsum("...b,...b->...", np.take(grad_rho_s, row, axis=a),
                         eta, optimize=False) + h_face
         eta_amb = np.einsum("...ib,...b->...i",

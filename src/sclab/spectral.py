@@ -10,8 +10,12 @@ through the Robin condition <grad u, eta> = b u against half-cell
 masses, which keeps the weighted matrix symmetric.
 
 Off-diagonal metric terms are assembled variationally (D^T C D pairs),
-exactly symmetric for any chart; their pointwise truncation at boundary
-rows is first order, which does not disturb eigenvalue accuracy.
+exactly symmetric for any chart but consistent only weakly next to a
+boundary: on a smooth function the rows within two nodes of a wall
+miss by O(1/h) wherever the metric couples the wall axis to another.
+So the lapse check takes the same coefficients (`_jacobi_coefficients`)
+and applies the operator pointwise (`_pointwise_drift_operator`), with
+the Robin condition as its own residual.
 """
 
 from dataclasses import dataclass
@@ -26,12 +30,14 @@ from .charts import (
     ChartGrid,
     ScalarField,
     TensorField,
+    gradient,
+    gradient_and_hessian,
     inverse_and_determinant,
     node_tuple,
     restrict,
     tree_sum,
 )
-from .curvature import curvature_bundle, potential_derivatives
+from .curvature import potential_derivatives
 from .hypersurface import (
     GraphFoliation,
     HypersurfaceEmbedding,
@@ -52,7 +58,6 @@ class SpectralProblem:
     grid: ChartGrid
     operator: sparse.csr_matrix
     mass: np.ndarray
-    weight: ScalarField
     potential: np.ndarray
     robin: dict
 
@@ -195,7 +200,7 @@ def assemble_drift_operator(grid: ChartGrid, metric: TensorField,
             operator = operator + sparse.diags(1.0 / mass) @ form
 
     operator = operator + sparse.diags(np.asarray(potential).reshape(-1))
-    return SpectralProblem(grid, operator.tocsr(), mass, weight,
+    return SpectralProblem(grid, operator.tocsr(), mass,
                            np.asarray(potential, dtype=float), robin)
 
 
@@ -220,11 +225,10 @@ def _wall_robin_data(emb: HypersurfaceEmbedding, axis: int,
     contact points, is measured first; above CONTACT_TOL the first
     offending node of the face raises ValueError.
     """
-    wall, sampler = chart_wall(emb, axis, side)
+    wall = chart_wall(emb, axis, side)
     nu_face = np.take(emb.normal, -1 if side else 0, axis=axis)
-    contact = np.abs(np.einsum("...i,...i->...",
-                               sampler.take(wall.normal_covector), nu_face,
-                               optimize=False))
+    contact = np.abs(np.einsum("...i,...i->...", wall.normal_covector,
+                               nu_face, optimize=False))
     if contact.max() > CONTACT_TOL:
         at = int(np.argmax(contact > CONTACT_TOL))
         face = node_tuple(at, contact.shape)
@@ -235,42 +239,75 @@ def _wall_robin_data(emb: HypersurfaceEmbedding, axis: int,
             f"at slice node {node} with contact residual "
             f"{contact[face]:.3e} > {CONTACT_TOL:.0e}: not a free-boundary "
             "contact")
-    h_wall = sampler.take(wall.second_fundamental.values)
-    wall_axes = [i for i in range(emb.ambient_grid.dim)
-                 if i != wall.graph_axis]
-    nu_wall = nu_face[..., wall_axes]
-    return np.einsum("...cd,...c,...d->...", h_wall, nu_wall, nu_wall,
-                     optimize=False)
+    nu_wall = np.delete(nu_face, wall.axis, axis=-1)
+    return np.einsum("...cd,...c,...d->...", wall.second_fundamental,
+                     nu_wall, nu_wall, optimize=False)
+
+
+def _pointwise_drift_operator(grid: ChartGrid, metric: TensorField,
+                              weight: ScalarField, potential: np.ndarray,
+                              robin: dict, u: np.ndarray) -> tuple:
+    """The operator `assemble_drift_operator` assembles, applied to u
+    pointwise with the chart stencils, and its Robin residuals.
+
+    -(1/dens) d_a (C^{ab} d_b u) + potential u, with dens = rho sqrt(g)
+    and C = dens g^{ab}, is expanded to C^{ab} d_a d_b u + d_a C^{ab}
+    d_b u, so every row, boundary rows included, is second order.  On
+    each boundary face the residual is <grad u, eta> - b u, where
+    <grad u, eta> = +-g^{aj} d_j u / sqrt(g^{aa}) for the outward unit
+    conormal eta.  Returns (values, {(axis, side): face residual}).
+    """
+    inv, det = inverse_and_determinant(metric.values)
+    dens = weight.values * np.sqrt(det)
+    flux = dens[..., None, None] * inv
+    d_flux = gradient(flux, grid)           # [..., a, b, c] = d_c C^{ab}
+    du, d2u = gradient_and_hessian(u, grid)
+    acc = np.zeros(grid.shape)
+    for a in range(grid.dim):
+        for b in range(grid.dim):
+            acc += (flux[..., a, b] * d2u[a, b]
+                    + d_flux[..., a, b, a] * du[..., b])
+    faces = {}
+    for (a, side), b in robin.items():
+        row = -1 if side else 0
+        conormal = np.einsum("...j,...j->...", inv[..., a, :], du,
+                             optimize=False) / np.sqrt(inv[..., a, a])
+        faces[(a, side)] = np.take((1.0 if side else -1.0) * conormal - b * u,
+                                   row, axis=a)
+    return potential * u - acc / dens, faces
+
+
+def _jacobi_coefficients(emb: HypersurfaceEmbedding, weight: np.ndarray,
+                         hessian: TensorField) -> tuple:
+    """The coefficients of a leaf's stability operator for a density
+    rho, given rho on the leaf (weight) and D^2 log rho on its ambient
+    slab or chart (hessian), as the leading arguments of both
+    `assemble_drift_operator` and `_pointwise_drift_operator`.
+
+    Zeroth order: -ric(nu,nu) - |h|^2 + (D^2 log rho)(nu,nu); first
+    order: the log-rho drift, folded into the weighted divergence; the
+    Robin datum on each chart wall is h_wall(nu, nu).
+    """
+    potential = (-emb.sample_nn(emb.ambient_bundle.ricci)
+                 - second_fundamental_norm_sq(emb)
+                 + emb.sample_nn(hessian))
+    robin = {face: _wall_robin_data(emb, *face)
+             for face in emb.boundary_normal}
+    return (emb.slice_grid, emb.induced_metric,
+            ScalarField(emb.slice_grid, weight), potential, robin)
 
 
 def assemble_jacobi(emb: HypersurfaceEmbedding,
                     rho: ScalarField) -> SpectralProblem:
-    """Stability operator of a hypersurface for the ambient density rho.
-
-    Zeroth order: -ric(nu,nu) - |h|^2 + (D^2 log rho)(nu,nu); first
-    order: the log-rho drift, folded into the weighted divergence; the
-    Robin datum on each chart wall is the wall's second fundamental
-    form on (nu, nu).
-    """
+    """Stability operator of a hypersurface for the ambient density rho,
+    with log rho differentiated once on the leaf's ambient slab."""
     rho_amb = restrict(rho, emb.ambient_grid)
     if np.any(rho.values <= 0.0):
         raise ValueError("density must be positive")
-
     log_rho = ScalarField(emb.ambient_grid, np.log(rho_amb))
-    amb_pot = potential_derivatives(emb.ambient_bundle, log_rho)
-    potential = (-emb.sample_nn(emb.ambient_bundle.ricci)
-                 - second_fundamental_norm_sq(emb)
-                 + emb.sample_nn(amb_pot.hessian))
-
-    robin = {}
-    for a in range(emb.slice_grid.dim):
-        if emb.slice_grid.topology[a] == BOUNDARY:
-            for side in (0, 1):
-                robin[(a, side)] = _wall_robin_data(emb, a, side)
-
-    weight = ScalarField(emb.slice_grid, emb.sample(rho))
-    return assemble_drift_operator(emb.slice_grid, emb.induced_metric,
-                                   weight, potential, robin)
+    hessian = potential_derivatives(emb.ambient_bundle, log_rho).hessian
+    return assemble_drift_operator(
+        *_jacobi_coefficients(emb, emb.sample(rho), hessian))
 
 
 @dataclass(frozen=True)
@@ -354,21 +391,25 @@ class LapseCheck:
 
     times: np.ndarray
     residuals: tuple
+    robin: tuple            # per slice: (axis, side) -> <grad f, eta> - b f
     mu: np.ndarray          # slice means of H + <grad phi, nu>
     mu_rate: np.ndarray     # centered d mu / dt
     mu_spread: np.ndarray   # max - min of mu per slice
 
 
 def lapse_residual(fol: GraphFoliation) -> LapseCheck:
-    """Residual of the Jacobi equation satisfied by the lapse.
+    """Residual L f - mu'(t) of the Jacobi equation satisfied by the
+    lapse f, with L the operator `assemble_jacobi` assembles, applied
+    pointwise, and on each chart wall the residual of the free-boundary
+    condition <grad f, eta> = h_wall(nu, nu) f.
 
-    The drift and Hessian terms use the log-density the foliation was
-    built with, the same weight its stored mu comes from.  Foliations
-    whose weighted mean curvature is not constant on each slice (beyond
-    stencil error) are rejected: the mu'(t) coupling is only meaningful
-    in the constant case.
+    L uses the log-density the foliation was built with, the same
+    weight its stored mu comes from, and its stored Hessian.  The walls'
+    Robin data need every leaf to meet the walls orthogonally.
+    Foliations whose weighted mean curvature is not constant on each
+    slice (beyond stencil error) are rejected: the mu'(t) coupling is
+    only meaningful in the constant case.
     """
-    phi = fol.log_density
     times = np.asarray(fol.times)
     mu = np.array([float(np.mean(w.values)) for w in fol.weighted_H])
     spread = np.array([float(np.ptp(w.values)) for w in fol.weighted_H])
@@ -383,19 +424,13 @@ def lapse_residual(fol: GraphFoliation) -> LapseCheck:
             f"{expected[k]:.3e}: not a constant-mu foliation")
     mu_rate = np.gradient(mu, times, edge_order=2)
 
-    residuals = []
+    residuals, robin = [], []
     for k, emb in enumerate(fol.slices):
-        f = fol.lapse[k]
-        sb = curvature_bundle(emb.induced_metric)
-        pot_f = potential_derivatives(sb, f)
-        value = (-pot_f.laplacian.values
-                 - emb.sample_nn(emb.ambient_bundle.ricci) * f.values
-                 - second_fundamental_norm_sq(emb) * f.values)
-        pot_phi = potential_derivatives(
-            sb, ScalarField(emb.slice_grid, emb.sample(phi)))
-        drift = np.einsum("...ab,...a,...b->...", sb.inverse,
-                          pot_phi.gradient, pot_f.gradient, optimize=False)
-        value = (value + emb.sample_nn(fol.potential.hessian) * f.values
-                 - drift)
+        value, faces = _pointwise_drift_operator(
+            *_jacobi_coefficients(emb, np.exp(emb.sample(fol.log_density)),
+                                  fol.potential.hessian),
+            fol.lapse[k].values)
         residuals.append(ScalarField(emb.slice_grid, value - mu_rate[k]))
-    return LapseCheck(times, tuple(residuals), mu, mu_rate, spread)
+        robin.append(faces)
+    return LapseCheck(times, tuple(residuals), tuple(robin), mu, mu_rate,
+                      spread)

@@ -455,3 +455,22 @@ class TestSnapshot:
         path.write_text("not a snapshot\n")
         with pytest.raises(ValueError, match="snapshot"):
             read_snapshot(path)
+
+    @pytest.mark.parametrize("mark,extra,expected", [
+        ("extent ", 3, "the 'extent' record"),        # inside a line
+        ("resolution 8 12\n", 0, "the 'extent' record"),    # at its end
+        ("field metric 2\n", 200, "more values of field 'metric'"),
+    ], ids=["header-mid-line", "header-line-end", "values"])
+    def test_truncated_file_names_path_and_record(self, tmp_path, mark,
+                                                  extra, expected):
+        # a cut must raise a ValueError, not run the line iterator dry
+        grid = make_chart(2, (8, 12), (1.0, TWO_PI), PERIODIC)
+        g = TensorField(grid, 2, np.ones(grid.shape + (2, 2)))
+        path = tmp_path / "state.snap"
+        write_snapshot(path, grid, {"metric": g})
+        text = path.read_text()
+        path.write_text(text[:text.index(mark) + len(mark) + extra])
+        with pytest.raises(ValueError, match=rf"state\.snap: snapshot is "
+                                             rf"truncated: expected .*"
+                                             rf"{expected}"):
+            read_snapshot(path)

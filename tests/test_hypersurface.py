@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from helpers import (
     constant_metric,
     patch_every_binding,
+    random_spd_metric,
     reference_weighted_mean_curvature,
 )
 from sclab import charts
@@ -29,6 +30,7 @@ from sclab.charts import (
 from sclab.curvature import curvature_bundle, potential_derivatives
 from sclab.hypersurface import (
     boundary_trace_identity,
+    chart_wall,
     embed_graph,
     gauss_identity_residual,
     gauss_identity_sides,
@@ -375,6 +377,41 @@ class TestFoliationPotential:
             make_graph_foliation(metric, times, heights, phi, graph_axis=2)
             counts.append(sum(on_ambient))
         assert counts[0] == counts[1] > 0
+
+
+class TestChartWall:
+    def test_closed_form_equals_the_embedded_wall_at_on_node_contacts(self):
+        # the reference embeds the whole wall as a constant graph and
+        # reads it at the contact rows; the closed form samples g and
+        # Gamma on the wall's node row first, and at on-node contact
+        # heights both must agree on a non-diagonal metric
+        grid = make_chart(3, (8, 9, 10), (1.0, 1.2, 1.5), BOUNDARY)
+        metric = random_spd_metric(grid, 5)
+        bundle = curvature_bundle(metric)
+        i, j = np.indices((8, 9))
+        rows = 3 + (i + j) % 3
+        leaf = embed_graph(
+            metric, ScalarField(grid.drop_axis(2), grid.axis_coords(2)[rows]),
+            graph_axis=2, bundle=bundle)
+        for axis in (0, 1):
+            for side in (0, 1):
+                wall = chart_wall(leaf, axis, side)
+                coord = grid.axis_coords(axis)[-1 if side else 0]
+                ref = embed_graph(
+                    metric, lambda *ys: np.full(ys[0].shape, coord),
+                    graph_axis=axis, orientation=1 if side else -1,
+                    bundle=bundle)
+                # graph axis 2 is the last axis of the wall's grid
+                contact = np.take(rows, -1 if side else 0, axis=axis)
+                at = (np.arange(contact.size), contact)
+                assert wall.axis == axis
+                for got, want in (
+                        (wall.normal_covector, ref.normal_covector),
+                        (wall.second_fundamental,
+                         ref.second_fundamental.values),
+                        (wall.mean_curvature, ref.mean_curvature.values)):
+                    assert got.shape == want[at].shape
+                    assert np.abs(got - want[at]).max() <= 1e-12
 
 
 class TestBoundaryTrace:

@@ -1,13 +1,15 @@
 """Module layout: no sclab module imports another module's private
 names, only charts runs stencil loops, inverts a metric or builds a
-grid, only charts (snapshots) and cli (job outputs) write files, and
-only cli decides when a snapshot is written.
+grid, only charts (snapshots) and cli (job outputs) write files, only
+cli decides when a snapshot is written, and spectral embeds no graph
+and builds no curvature bundle of its own.
 
 Every file under src/sclab is parsed with ast; a relative import of a
 name with a leading underscore, a call of `diff_array`,
 `np.linalg.inv`, `np.linalg.det` or `ChartGrid` outside charts.py, an
-`open(...)` for writing outside charts.py and cli.py, or a call of
-`write_snapshot` outside cli.py, is reported with its file and line.
+`open(...)` for writing outside charts.py and cli.py, a call of
+`write_snapshot` outside cli.py, or a call of `embed_graph` or
+`curvature_bundle` in spectral.py, is reported with its file and line.
 """
 
 import ast
@@ -229,3 +231,34 @@ def test_snapshot_detector_names_file_and_line(tmp_path):
     assert snapshot_writes(sample) == [
         "sample.py:2: write_snapshot(...)",
         "sample.py:3: write_snapshot(...)"]
+
+
+def leaf_geometry_calls(path: Path) -> list:
+    """`file:line: embed_graph(...)` for each graph embedding, and the
+    same for each `curvature_bundle` call."""
+    return [f"{path.name}:{line}: {name.split('.')[-1]}(...)"
+            for line, name in call_names(path)
+            if name.split(".")[-1] in ("embed_graph", "curvature_bundle")]
+
+
+def test_spectral_reads_walls_and_bundles_off_the_leaf():
+    # chart walls come from hypersurface.chart_wall in closed form, and
+    # the Jacobi operator reads the leaf's own bundle; re-embedding a
+    # wall or re-deriving curvature would redo that work per operator
+    found = leaf_geometry_calls(SOURCE / "spectral.py")
+    assert not found, "spectral.py embeds a graph or builds a curvature " \
+        "bundle:\n" + "\n".join(found)
+    assert leaf_geometry_calls(SOURCE / "hypersurface.py")
+
+
+def test_leaf_geometry_detector_names_file_and_line(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("from .hypersurface import embed_graph, chart_wall\n"
+                      "a = embed_graph(metric, h, graph_axis=1)\n"
+                      "b = chart_wall(emb, 0, 1)\n"
+                      "c = hypersurface.embed_graph(\n    metric, h)\n"
+                      "d = curvature.curvature_bundle(metric)\n"
+                      "e = embed_graph\n")
+    assert leaf_geometry_calls(sample) == [
+        "sample.py:2: embed_graph(...)", "sample.py:4: embed_graph(...)",
+        "sample.py:6: curvature_bundle(...)"]

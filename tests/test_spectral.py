@@ -22,7 +22,7 @@ from helpers import box_bundle_foliation, dense_principal_eigenvalue, \
     patch_every_binding
 from sclab import curvature, spectral
 from sclab.charts import (BOUNDARY, PERIODIC, ScalarField, TensorField,
-                          make_chart, tree_sum)
+                          make_chart, sample_field, tree_sum)
 from sclab.hypersurface import (
     boundary_trace_identity,
     embed_graph,
@@ -190,6 +190,24 @@ class TestAssembly:
             assemble_drift_operator(grid, metric, weight,
                                     np.zeros(grid.shape), {})
 
+    def test_mixed_metric_terms_stay_weighted_self_adjoint(self):
+        # a non-diagonal metric reaches the variational cross pairs,
+        # next to Robin walls and a non-constant weight
+        grid = make_chart(2, (13, 16), (1.0, 2 * np.pi),
+                          (BOUNDARY, PERIODIC), origin=(0.5, 0.0))
+        s, a = grid.coords()
+        g = np.zeros(grid.shape + (2, 2))
+        g[..., 0, 0] = 1.0 + 0.2 * s
+        g[..., 1, 1] = s * s
+        g[..., 0, 1] = g[..., 1, 0] = 0.1 * s * np.sin(a)
+        prob = assemble_drift_operator(
+            grid, TensorField(grid, 2, g),
+            ScalarField(grid, np.exp(0.3 * s * np.cos(a))),
+            np.zeros(grid.shape), {(0, 0): -1.0, (0, 1): 0.5})
+        for seed in range(5):
+            gap, scale = adjointness_gap(prob, seed)
+            assert gap <= 1e-9 * scale
+
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_drift_self_adjointness(self, seed):
@@ -337,6 +355,28 @@ def radial_foliation(chart, res_pair, window):
                                 graph_axis=2)
 
 
+def walled_warped_foliation(n):
+    """phi = 0 slices z = t of dx^2 + dy^2 + 2e dx dy + a(x, y)^2 dz^2
+    between walls x = const, y and z periodic: totally geodesic leaves
+    (mu = 0) that meet the walls orthogonally, whose lapse is a, not
+    constant, and whose induced metric couples the wall axis to y."""
+    grid = make_chart(3, (n, n, n), (2.0, 2 * np.pi, 2 * np.pi),
+                      (BOUNDARY, PERIODIC, PERIODIC), origin=(0.3, 0.0, 0.0))
+
+    def warped(x, y, z):
+        g = np.zeros(x.shape + (3, 3))
+        g[..., 0, 0] = g[..., 1, 1] = 1.0
+        g[..., 0, 1] = g[..., 1, 0] = 0.1 * np.sin(x + y)
+        g[..., 2, 2] = (1.0 + 0.2 * np.sin(x) * np.cos(y)) ** 2
+        return g
+
+    times = grid.axis_coords(2)[n // 4:n // 4 + 3]
+    return make_graph_foliation(
+        sample_field(grid, warped, rank=2), times,
+        [lambda x, y, t=t: np.full(x.shape, t) for t in times],
+        zero_field(grid), graph_axis=2)
+
+
 class TestLapseResidual:
     def test_parallel_flat_slices(self):
         grid, metric = flat_box3((12, 12, 12))
@@ -370,22 +410,59 @@ class TestLapseResidual:
         assert np.log2(errs[0] / errs[1]) >= 1.8
 
     def test_reads_phi_derivatives_off_the_foliation(self, monkeypatch):
-        # phi's ambient derivatives come with the foliation; the lapse
-        # check differentiates only on the slice grids
+        # phi's ambient derivatives and the curvature bundle come with
+        # the foliation; the lapse check differentiates only the lapse
+        # and the induced metric's coefficients, with chart stencils
         fol = radial_foliation(
             lambda l, r: spherical_shell(l, 12, r, rel_width=0.3),
             (17, 17), slice(2, 15))
-        grids = []
-        real = spectral.potential_derivatives
 
-        def recording(bundle, phi):
-            grids.append(bundle.grid)
-            return real(bundle, phi)
+        def forbidden(*args):
+            raise AssertionError("the lapse check differentiated a field")
 
-        monkeypatch.setattr(spectral, "potential_derivatives", recording)
-        lapse_residual(fol)
-        assert grids
-        assert fol.slices[0].ambient_grid not in grids
+        for real in (curvature.curvature_bundle,
+                     curvature.potential_derivatives):
+            patch_every_binding(monkeypatch, real, forbidden)
+        assert len(lapse_residual(fol).residuals) == len(fol.slices)
+
+    def test_converges_next_to_walls_the_metric_couples(self):
+        # the exact lapse solves the Jacobi equation with mu' = 0 and
+        # the free-boundary condition; both residuals, wall rows
+        # included, fall at second order although the induced metric
+        # couples the wall axis to the periodic one
+        errs, robin_errs = [], []
+        for n in (12, 24):
+            fol = walled_warped_foliation(n)
+            check = lapse_residual(fol)
+            assert np.ptp(fol.lapse[1].values) >= 0.3
+            assert sorted(check.robin[1]) == [(0, 0), (0, 1)]
+            errs.append(np.abs(check.residuals[1].values).max())
+            robin_errs.append(max(np.abs(r).max()
+                                  for r in check.robin[1].values()))
+        grid = fol.log_density.grid
+        datum = assemble_jacobi(fol.slices[1],
+                                ScalarField(grid, np.ones(grid.shape))).robin
+        assert min(np.abs(b).max() for b in datum.values()) >= 0.1
+        assert errs[1] <= 2e-3 and robin_errs[1] <= 5e-4
+        assert np.log2(errs[0] / errs[1]) >= 1.8
+        assert np.log2(robin_errs[0] / robin_errs[1]) >= 1.8
+
+    def test_leaves_leaning_on_a_wall_name_the_contact_node(self):
+        # tilted planes of flat space are minimal, so the foliation
+        # passes the constant-mu check; they meet the walls x = const
+        # at an angle, and the lapse check reads the walls' Robin data
+        grid = make_chart(3, (9, 8, 16), (1.0, 2 * np.pi, 2 * np.pi),
+                          (BOUNDARY, PERIODIC, PERIODIC))
+        metric = _diag_metric(grid, [1.0, 1.0, 1.0])
+        times = grid.axis_coords(2)[5:9]
+        fol = make_graph_foliation(
+            metric, times,
+            [lambda x, y, t=t: t + 0.1 * x for t in times],
+            zero_field(grid), graph_axis=2)
+        with pytest.raises(ValueError, match=r"chart wall \(axis 0, side "
+                                             r"0\) at slice node \(0, 0\) "
+                                             r"with contact residual"):
+            lapse_residual(fol)
 
     def test_flags_non_cmc_foliation(self):
         grid, metric = cylindrical_shell(128, 16, 17, z_len=np.pi / 4,
