@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sparse
 
 PERIODIC = "periodic"
 BOUNDARY = "boundary"
@@ -334,6 +335,19 @@ def diff_array(values: np.ndarray, grid: ChartGrid, axis: int,
     return out
 
 
+def derivative_matrix(grid: ChartGrid, axis: int) -> sparse.csr_matrix:
+    """`diff_array(u, grid, axis, 1)` as a sparse matrix on u.ravel():
+    the stencil of the axis's 1-d line (its rows and spacing kept),
+    Kronecker-extended by identities over the other axes."""
+    line = grid
+    for a in sorted(set(range(grid.dim)) - {axis}, reverse=True):
+        line = line.drop_axis(a)
+    stencil = diff_array(np.eye(grid.resolution[axis]), line, 0, 1)
+    before, after = (sparse.identity(int(np.prod(grid.shape[rows])))
+                     for rows in (slice(axis), slice(axis + 1, None)))
+    return sparse.kron(sparse.kron(before, stencil), after, format="csr")
+
+
 def gradient(values: np.ndarray, grid: ChartGrid) -> np.ndarray:
     """First derivatives along every grid axis, stacked as a last axis."""
     return np.stack([diff_array(values, grid, a, 1) for a in range(grid.dim)],
@@ -463,7 +477,11 @@ def read_snapshot(path) -> tuple[ChartGrid, dict]:
         return line
 
     def record(key: str) -> str:
-        return _expect(next_line(f"the {key!r} record"), key)
+        line = next_line(f"the {key!r} record")
+        if not line.startswith(key + " "):
+            raise ValueError(f"{path}: snapshot: expected {key!r} record, "
+                             f"got {line!r}")
+        return line[len(key) + 1:]
 
     if next_line("the magic line") != _SNAP_MAGIC:
         raise ValueError(f"{path}: not a chart snapshot")
@@ -493,12 +511,6 @@ def read_snapshot(path) -> tuple[ChartGrid, dict]:
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _expect(line: str, key: str) -> str:
-    if not line.startswith(key + " "):
-        raise ValueError(f"snapshot: expected {key!r} record, got {line!r}")
-    return line[len(key) + 1:]
 
 
 def _as_tuple(value, dim, cast):

@@ -23,6 +23,7 @@ has curvature +1/r.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -181,6 +182,11 @@ class HypersurfaceEmbedding:
     mean_curvature: ScalarField
     boundary_normal: dict
 
+    @cached_property
+    def intrinsic(self) -> CurvatureBundle:
+        """The bundle of the induced metric, built when first read."""
+        return curvature_bundle(self.induced_metric)
+
     def sample(self, values) -> np.ndarray:
         """Ambient nodal array, or a field on the ambient slab or on the
         full chart, sampled at the graph points."""
@@ -335,7 +341,7 @@ def gauss_identity_sides(emb: HypersurfaceEmbedding, rho: ScalarField,
     log_u = np.log(u.values)
     log_v = log_rho_s + log_u
 
-    sb = curvature_bundle(emb.induced_metric)
+    sb = emb.intrinsic
     p_v = potential_derivatives(sb, ScalarField(emb.slice_grid, log_v))
     p_u = potential_derivatives(sb, u)
     p_logu = potential_derivatives(sb, ScalarField(emb.slice_grid, log_u))
@@ -550,14 +556,13 @@ def boundary_trace_identity(emb: HypersurfaceEmbedding, rho: ScalarField,
 
     grad_rho_s = gradient(np.log(rho_s), emb.slice_grid)
     dphi_s = emb.sample(gradient(phi_amb, emb.ambient_grid))
-    slice_bundle = curvature_bundle(emb.induced_metric)
 
     out = {}
     for (a, side), eta in emb.boundary_normal.items():
         row = -1 if side else 0
         h_face = _coordinate_face(
             np.take(emb.induced_metric.values, row, axis=a),
-            np.take(slice_bundle.christoffel, row, axis=a), a,
+            np.take(emb.intrinsic.christoffel, row, axis=a), a,
             side).mean_curvature
         h_wall = chart_wall(emb, a, side).mean_curvature
         lhs = np.einsum("...b,...b->...", np.take(grad_rho_s, row, axis=a),

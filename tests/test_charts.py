@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from helpers import differentiate, random_spd_metric, reduce_min
 from sclab.charts import (BOUNDARY, MIN_RESOLUTION, PERIODIC, ScalarField,
-                          TensorField, diff_array, gradient_and_hessian,
-                          integrate, inverse_and_determinant, make_chart,
-                          read_snapshot, restrict, sample_field, tree_sum,
-                          write_snapshot)
+                          TensorField, derivative_matrix, diff_array,
+                          gradient_and_hessian, integrate,
+                          inverse_and_determinant, make_chart, read_snapshot,
+                          restrict, sample_field, tree_sum, write_snapshot)
 from sclab.models import flat_torus, sphere_full, spherical_shell
 
 TWO_PI = 2.0 * np.pi
@@ -252,6 +252,24 @@ class TestDifferentiate:
                     second[a, b],
                     diff_array(diff_array(v, grid, a, 1), grid, b, 1))
 
+    @pytest.mark.parametrize("grid", [
+        make_chart(1, (9,), (1.0,), BOUNDARY),
+        make_chart(1, (10,), (2.0,), PERIODIC),
+        make_chart(2, (9, 12), (1.0, 2.0), (BOUNDARY, PERIODIC)),
+        make_chart(3, (8, 9, 10), (1.0, 2.0, 3.0),
+                   (PERIODIC, BOUNDARY, BOUNDARY)),
+        # the cut rows 0 and 7 of axis 0 take the one-sided stencil
+        make_chart(3, (20, 9, 8), (1.0, 2.0, 3.0),
+                   (BOUNDARY, PERIODIC, BOUNDARY)).slab(0, 5, 12),
+    ], ids=["boundary-1d", "periodic-1d", "2d", "3d", "slab"])
+    def test_derivative_matrix_applies_the_first_derivative(self, grid):
+        u = np.random.default_rng(grid.dim).standard_normal(grid.shape)
+        for axis in range(grid.dim):
+            want = diff_array(u, grid, axis, 1)
+            got = derivative_matrix(grid, axis) @ u.ravel()
+            assert np.abs(got.reshape(grid.shape) - want).max() \
+                <= 1e-12 * np.abs(want).max()
+
     def test_rejects_bad_axis_and_order(self):
         grid = circle(8)
         with pytest.raises(ValueError, match="axis"):
@@ -454,6 +472,16 @@ class TestSnapshot:
         path = tmp_path / "junk.txt"
         path.write_text("not a snapshot\n")
         with pytest.raises(ValueError, match="snapshot"):
+            read_snapshot(path)
+
+    def test_renamed_record_names_path_and_record(self, tmp_path):
+        grid = make_chart(2, (8, 12), (1.0, TWO_PI), PERIODIC)
+        path = tmp_path / "state.snap"
+        write_snapshot(path, grid, {})
+        path.write_text(path.read_text().replace("\ndim ", "\ndims ", 1))
+        with pytest.raises(ValueError, match=r"state\.snap: snapshot: "
+                                             r"expected 'dim' record, "
+                                             r"got 'dims 2'"):
             read_snapshot(path)
 
     @pytest.mark.parametrize("mark,extra,expected", [

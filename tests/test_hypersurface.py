@@ -455,12 +455,16 @@ class TestBoundaryTrace:
             assert np.max(np.abs(face.residual)) < 1e-10
 
     def test_builds_only_the_slice_bundle_once(self, bundle_grids):
-        # the walls reuse the leaf's ambient bundle and the face
-        # embeddings share one bundle of the induced metric
+        # the walls reuse the leaf's ambient bundle, and the Gauss
+        # identity and the face curvatures share the leaf's one bundle
+        # of the induced metric
         grid, metric = solid_cylinder_band(17, 24, 8, 1.0, 2 * np.pi)
         emb = embed_graph(metric, lambda s, al: np.full_like(s, np.pi),
                           graph_axis=2)
         bundle_grids.clear()
+        u = ones_on(emb.slice_grid)
+        gauss_identity_sides(emb, ones_on(grid), u)
+        gauss_identity_residual(emb, ones_on(grid), u)
         traces = boundary_trace_identity(emb, ones_on(grid), zeros_on(grid))
         assert len(traces) == 2
         assert bundle_grids == [emb.slice_grid]

@@ -447,6 +447,27 @@ class TestLapseResidual:
         assert np.log2(errs[0] / errs[1]) >= 1.8
         assert np.log2(robin_errs[0] / robin_errs[1]) >= 1.8
 
+    def test_eigenpair_converges_next_to_walls_the_metric_couples(self):
+        # the middle leaf's exact principal pair is (0, its lapse); the
+        # assembled cross-term rows miss the operator by O(1/h) within
+        # two nodes of the walls, yet lambda_1 falls at second order
+        # and the eigenfunction closes in on the lapse
+        values, gaps = [], []
+        for n in (12, 24, 48):
+            fol = walled_warped_foliation(n)
+            grid = fol.log_density.grid
+            pair = principal_eigenpair(assemble_jacobi(
+                fol.slices[1], ScalarField(grid, np.ones(grid.shape))))
+            lapse = fol.lapse[1].values / np.linalg.norm(fol.lapse[1].values)
+            u = pair.eigenfunction.values
+            values.append(pair.eigenvalue)
+            gaps.append(np.abs(u / np.linalg.norm(u) - lapse).max()
+                        / lapse.max())
+        assert 0.0 < values[-1] <= 1e-4
+        assert all(np.log2(values[k] / values[k + 1]) >= 1.8
+                   for k in range(2))
+        assert gaps[0] > gaps[1] > gaps[2]
+
     def test_leaves_leaning_on_a_wall_name_the_contact_node(self):
         # tilted planes of flat space are minimal, so the foliation
         # passes the constant-mu check; they meet the walls x = const
