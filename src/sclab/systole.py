@@ -42,8 +42,8 @@ CONNECTIVITY_OFFSETS = {
 # Cover layers searched by systole_sigma, whose sources sit at winding
 # level 0.  A minimizer with partial winding outside [-2, 3] would have
 # to cross the cut five extra times; no metric in this corpus comes
-# close.  Every search checks the window at its own radius (half the
-# best loop plus one edge in the first pass, the best loop in the
+# close.  Every search checks the window at its own limit (the best
+# loop less its xi potential in the first pass, the best loop in the
 # reruns), and systole_sigma raises if a walk within it could step out.
 _LAYER_LO, _LAYER_HI = -2, 3
 
@@ -196,31 +196,66 @@ def _cover_matrix(graph: WindingGraph) -> csr_matrix:
                       shape=(size, size))
 
 
-def _window_exits(graph: WindingGraph) -> tuple:
+def _xi_index(graph: WindingGraph, nodes) -> np.ndarray:
+    """Column of each node along the winding axis."""
+    return np.unravel_index(nodes, graph.grid.shape)[graph.xi_axis]
+
+
+def _xi_positions(graph: WindingGraph) -> np.ndarray:
+    """Unwrapped xi position of every cover id, in grid steps:
+    layer * n_xi + xi column, exact integers."""
+    n_xi = graph.grid.shape[graph.xi_axis]
+    xi = _xi_index(graph, np.arange(graph.node_count)).astype(np.int32)
+    layers = np.arange(_LAYER_HI - _LAYER_LO + 1, dtype=np.int32)
+    return (layers[:, None] * n_xi + xi).ravel()
+
+
+def _xi_steps(graph: WindingGraph) -> np.ndarray:
+    """Each stored edge's step along the unwrapped xi axis, tail to
+    head, in grid steps: exact integers."""
+    n_xi = graph.grid.shape[graph.xi_axis]
+    return (_xi_index(graph, graph.head) - _xi_index(graph, graph.tail)
+            + graph.winding * n_xi)
+
+
+def _window_exits(graph: WindingGraph, slope: float = 0.0) -> tuple:
     """Cover steps that the layer window cuts off, per outermost layer:
-    (layer, cover ids of the step tails, step lengths)."""
+    (layer, cover ids of the step tails, step lengths less `slope` per
+    xi step, unwrapped xi positions of the step heads)."""
     n = graph.node_count
     cross = np.flatnonzero(graph.winding)
     tails = np.concatenate((graph.tail[cross], graph.head[cross]))
     shift = np.concatenate((graph.winding[cross], -graph.winding[cross]))
+    steps = _xi_steps(graph)[cross]
+    steps = np.concatenate((steps, -steps))
     lengths = np.concatenate((graph.length[cross], graph.length[cross]))
-    down, up = shift < 0, shift > 0
-    top = (_LAYER_HI - _LAYER_LO) * n
-    return ((_LAYER_LO, tails[down], lengths[down]),
-            (_LAYER_HI, top + tails[up], lengths[up]))
+    pos = _xi_positions(graph)
+    exits = []
+    for layer, side in ((_LAYER_LO, shift < 0), (_LAYER_HI, shift > 0)):
+        ids = (layer - _LAYER_LO) * n + tails[side]
+        exits.append((layer, ids, lengths[side] - slope * steps[side],
+                      pos[ids] + steps[side]))
+    return tuple(exits)
 
 
 def _check_layer_window(graph: WindingGraph, dist: np.ndarray, limit: float,
-                        source: int, exits: tuple) -> None:
+                        source: int, exits: tuple,
+                        slope: float = 0.0) -> None:
     """Raise if a walk within the search limit could leave the window.
 
     A walk's first step out of the window starts at a node of an
     outermost layer that the truncated search has settled.  When no
     such step fits under the limit, the cut changed no distance the
-    search kept.
+    search kept.  A search on reduced costs (`slope` > 0, see
+    systole_sigma) charges the step its reduced length, plus the least
+    reduced cost of walking back from its head to the source's
+    translate: 2 slope per grid step that the head lies beyond it.
     """
-    for layer, ids, lengths in exits:
-        over = np.flatnonzero(dist[ids] + lengths <= limit)
+    n_xi = graph.grid.shape[graph.xi_axis]
+    target = (1 - _LAYER_LO) * n_xi + int(_xi_index(graph, source))
+    for layer, ids, lengths, heads in exits:
+        back = 2.0 * slope * np.maximum(heads - target, 0)
+        over = np.flatnonzero(dist[ids] + lengths + back <= limit)
         if over.size:
             node = node_tuple(int(ids[over[0]]) % graph.node_count,
                               graph.grid.shape)
@@ -268,6 +303,64 @@ def _walk_steps(graph: WindingGraph, cycle) -> tuple[np.ndarray, np.ndarray]:
     return graph.length[edge], winding
 
 
+def _xi_reach(graph: WindingGraph) -> int:
+    """Most xi columns that one edge steps: 1, or 2 with knight moves."""
+    return max(abs(off[graph.xi_axis])
+               for off in CONNECTIVITY_OFFSETS[graph.connectivity])
+
+
+def _sources(graph: WindingGraph) -> np.ndarray:
+    """Cut nodes that every winding cycle passes through, in index
+    order.
+
+    A cut-crossing edge joins the last `_xi_reach` columns to the first
+    ones: with unit steps it always touches column 0; with steps of
+    two, one of its endpoints lies in column 0 or in column n - 1.
+    """
+    shape = graph.grid.shape
+    columns = (0,) if _xi_reach(graph) == 1 else (0, shape[graph.xi_axis] - 1)
+    return np.sort(np.take(np.arange(graph.node_count).reshape(shape),
+                           columns, axis=graph.xi_axis).ravel())
+
+
+def _loop_estimates(graph: WindingGraph, cover: csr_matrix,
+                    sources: np.ndarray, best: float) -> np.ndarray:
+    """Each source's shortest winding loop, where that is at most
+    `best`, and inf where it is longer: the first pass of systole_sigma,
+    searched on reduced costs."""
+    n = graph.node_count
+    n_xi = graph.grid.shape[graph.xi_axis]
+    base = -_LAYER_LO
+    # X counted in grid steps, so slope is c h_xi
+    steps = _xi_steps(graph)
+    moving = steps != 0
+    slope = (1.0 - 1e-12) * float(
+        (graph.length[moving] / np.abs(steps[moving])).min())
+    # the reduced copy shares the cover's structure; an entry's xi step
+    # is its head's unwrapped position less its tail's
+    pos = _xi_positions(graph)
+    reduced = csr_matrix(
+        (cover.data - slope * (pos[cover.indices]
+                               - np.repeat(pos, np.diff(cover.indptr))),
+         cover.indices, cover.indptr), shape=cover.shape)
+    period = slope * n_xi
+    limit = best - period
+    exits = _window_exits(graph, slope)
+    # sources per call: the block of distances is at most the size of
+    # the cover's data
+    chunk = cover.nnz // cover.shape[0]
+    estimate = np.empty(sources.size)
+    for start in range(0, sources.size, chunk):
+        block = sources[start:start + chunk]
+        dist = dijkstra(reduced, directed=True, indices=base * n + block,
+                        limit=limit)
+        for row, v in enumerate(block.tolist()):
+            _check_layer_window(graph, dist[row], limit, v, exits, slope)
+        estimate[start:start + chunk] = period + dist[
+            np.arange(block.size), (base + 1) * n + block]
+    return estimate
+
+
 def systole_sigma(graph: WindingGraph) -> tuple[float, tuple[int, ...]]:
     """Shortest closed walk with nonzero winding, with one realizing
     cycle (node ids, closed).
@@ -278,22 +371,31 @@ def systole_sigma(graph: WindingGraph) -> tuple[float, tuple[int, ...]]:
     stencil steps two columns along xi: every cut-crossing edge has an
     endpoint there, so every winding cycle passes through a source.
 
-    A first pass estimates each source's loop from half its length.  The
-    cover is invariant under the deck shift and under edge reversal,
-    so d(x, v1) = d(v0, x shifted down one layer), and one search from
-    v0 holds both halves: e_v = min_x d(v0, x) + d(x, v1).  A shortest
-    loop of length L <= best has a vertex within L/2 of v0 whose own
-    distance to v1 is at most L/2 + (longest edge), so a search
-    truncated at R = best/2 + (longest edge) sees it, and e_v is the
-    loop length up to rounding; longer loops give e_v > best.  The
-    layer-window check at R shows that the truncated ball is the same
-    as in the whole Z-cover.
+    A first pass finds each source's loop on reduced costs.  The xi
+    potential X(node) = (layer * n_xi + xi column) * h_xi climbs one
+    period P = n_xi h_xi from v0 to v1, whatever the source, and
+    c = (1 - 1e-12) min length / (|s| h_xi), over the edges whose exact
+    integer xi step s = head column - tail column + winding * n_xi is
+    nonzero, prices the cheapest xi progress.  The reduced cost
+    w - c (X(y) - X(x)) of a cover step x -> y is then positive (the
+    1e-12 margin covers rounding), and along any walk from v0 to v1 it
+    sums to the length less cP.  So d'(v0, v1) + cP is the loop length
+    up to rounding, one reduced copy of the cover serves every source,
+    and a search limited by best - cP reaches every node of every loop
+    no longer than best, since reduced costs never go negative.  Where
+    the shortest loops run close to the cheapest xi direction, cP is
+    close to best and each search settles a narrow corridor.  Sources
+    are searched in blocks of cover.nnz // (cover size) per call.  The
+    layer-window check runs on reduced distances and reduced exit
+    lengths; an upper exit adds 2c (X(exit head) - X(v1)), the least
+    reduced cost of walking back down to v1, since moving against xi
+    costs at least 2c per unit of X.
 
     A second pass reruns the full search, with predecessors, from each
     source whose estimate is within 1e-9 (relative) of the least, in
     index order, limited by the best loop so far; ties break to the
     lowest source index.  sigma is that search's path sum, not the
-    two-half estimate.  The cheapest pure-xi loop seeds `best`.  The
+    reduced estimate.  The cheapest pure-xi loop seeds `best`.  The
     reported cycle is walked again and must give sigma (to 1e-12
     relative) with winding +-1.
 
@@ -311,28 +413,14 @@ def systole_sigma(graph: WindingGraph) -> tuple[float, tuple[int, ...]]:
     n = graph.node_count
     shape = graph.grid.shape
     base = -_LAYER_LO  # layer index of winding level 0
-
-    # A cut-crossing edge joins the last `step` xi columns to the first
-    # ones: with unit steps it always touches column 0; with steps of
-    # two, one of its endpoints lies in column 0 or in column n - 1.
-    step = max(abs(off[graph.xi_axis])
-               for off in CONNECTIVITY_OFFSETS[graph.connectivity])
     n_xi = shape[graph.xi_axis]
-    columns = (0,) if step == 1 else (0, n_xi - 1)
-    sources = np.sort(np.take(np.arange(n).reshape(shape), columns,
-                              axis=graph.xi_axis).ravel())
+    sources = _sources(graph)
 
     cover = _cover_matrix(graph)
-    exits = _window_exits(graph)
     best = _straight_loop_bound(graph) * (1.0 + 1e-9)
-    radius = 0.5 * best + float(graph.length.max())
-    estimate = np.empty(sources.size)
-    for k, v in enumerate(sources.tolist()):
-        dist = dijkstra(cover, directed=True, indices=base * n + v,
-                        limit=radius)
-        _check_layer_window(graph, dist, radius, v, exits)
-        estimate[k] = (dist[n:] + dist[:-n]).min()
+    estimate = _loop_estimates(graph, cover, sources, best)
 
+    exits = _window_exits(graph)
     best_len = math.inf
     best_pred = None
     best_node = -1
@@ -367,9 +455,9 @@ def systole_sigma(graph: WindingGraph) -> tuple[float, tuple[int, ...]]:
             f"systole cycle from cut node {node_tuple(best_node, shape)} "
             f"walks to length {length!r} with winding {winding}, not to "
             f"sigma {best_len!r} with winding +-1")
-    if step == 1:
+    if _xi_reach(graph) == 1:
         loop = np.asarray(cycle[:-1])
-        last = np.unravel_index(loop, shape)[graph.xi_axis] == n_xi - 1
+        last = _xi_index(graph, loop) == n_xi - 1
         start = 0
         for k in np.flatnonzero(last).tolist():
             total = float(np.add.accumulate(np.roll(steps, -k))[-1])

@@ -111,7 +111,7 @@ def full_radius_sigma(graph) -> tuple[float, tuple[int, ...]]:
     """Systole by full-radius cover searches from every cut node.
 
     The reference for systole.systole_sigma, which runs full searches
-    only from the sources whose half-radius estimate is least.  At
+    only from the sources whose first-pass loop is least.  At
     connectivity 16 both start from the first and last xi columns and
     must agree bit for bit, in sigma and in the cycle.  At connectivity
     4 and 8 systole_sigma searches from column 0 alone and sums its
@@ -146,6 +146,36 @@ def full_radius_sigma(graph) -> tuple[float, tuple[int, ...]]:
             raise RuntimeError("shortest-path tree lost the source")
     cycle.append(best_node)
     return best_len, tuple(reversed(cycle))
+
+
+def half_radius_estimates(graph) -> np.ndarray:
+    """Each source's loop, from one cover search per source truncated at
+    half the best loop plus the longest edge, in systole._sources order.
+
+    The reference for systole's first pass, which searches reduced costs
+    up to the best loop less its xi potential.  The cover is invariant
+    under the deck shift and under edge reversal, so d(x, v1) =
+    d(v0, x shifted down one layer), and one search from v0 holds both
+    halves: e_v = min_x d(v0, x) + d(x, v1).  A loop of length L <= best
+    has a vertex within L/2 of v0 whose own distance to v1 is at most
+    L/2 + (longest edge), so the search sees it and e_v is the loop
+    length up to rounding; longer loops give e_v > best.  Both passes
+    must pick the same sources to rerun.
+    """
+    n = graph.node_count
+    base = -systole._LAYER_LO
+    cover = systole._cover_matrix(graph)
+    exits = systole._window_exits(graph)
+    best = systole._straight_loop_bound(graph) * (1.0 + 1e-9)
+    radius = 0.5 * best + float(graph.length.max())
+    sources = systole._sources(graph)
+    estimate = np.empty(sources.size)
+    for k, v in enumerate(sources.tolist()):
+        dist = dijkstra(cover, directed=True, indices=base * n + v,
+                        limit=radius)
+        systole._check_layer_window(graph, dist, radius, v, exits)
+        estimate[k] = (dist[n:] + dist[:-n]).min()
+    return estimate
 
 
 def box_bundle_foliation(metric: TensorField, times, heights,

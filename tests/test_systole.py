@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import constant_metric, edge_table, full_radius_sigma, \
-    random_spd_metric, reference_cycle_length
+    half_radius_estimates, random_spd_metric, reference_cycle_length
 from sclab import systole
 from sclab.charts import TensorField, make_chart
 from sclab.models import TWO_PI, flat_torus, torus_surface
@@ -123,6 +123,28 @@ def random_graph(res, seed, conn, axis):
     grid, _ = flat_torus(res, (TWO_PI, TWO_PI))
     return build_winding_graph(grid, random_spd_metric(grid, seed),
                                xi_axis=axis, connectivity=conn)
+
+
+def product_graph(res, conn, axis):
+    grid, metric = torus_surface(res, res, radius=1.0, fiber_len=10.0)
+    return build_winding_graph(grid, metric, xi_axis=axis,
+                               connectivity=conn)
+
+
+# family -> graph builder from (param, connectivity, xi axis)
+FAMILIES = {
+    "trig": trig_graph,
+    "shear": lambda p, c, a: shear_graph(c, a, p),
+    "aniso": aniso_graph,
+    "knight": lambda p, c, a: knight_graph(a, 0.5 if p is None else p),
+    "random": lambda p, c, a: random_graph(*p, c, a),
+    "product": product_graph,
+}
+
+
+def family_graph(family, param, conn, axis):
+    return cached((family, param, conn, axis),
+                  lambda: FAMILIES[family](param, conn, axis))
 
 
 def adjacency(graph):
@@ -464,12 +486,7 @@ class TestSystole:
                                  ((17, 23), 1))],
     ], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else None)
     def test_matches_full_radius_search(self, family, param, conn, axis):
-        build = {"trig": lambda: trig_graph(param, conn, axis),
-                 "shear": lambda: shear_graph(conn, axis, param),
-                 "aniso": lambda: aniso_graph(param, conn, axis),
-                 "knight": lambda: knight_graph(axis),
-                 "random": lambda: random_graph(*param, conn, axis)}[family]
-        graph = cached((family, param, conn, axis), build)
+        graph = family_graph(family, param, conn, axis)
         sigma, cycle = systole_sigma(graph)
         assert (sigma, cycle) == full_radius_sigma(graph)
         twice = cycle + cycle[1:]
@@ -536,9 +553,23 @@ class TestSystole:
         monkeypatch.setattr(systole, "_LAYER_HI", 5)
         assert found == full_radius_sigma(graph)
 
-    def test_half_radius_pass_checks_the_window(self, monkeypatch):
-        monkeypatch.setattr(systole, "_LAYER_LO", 0)
-        monkeypatch.setattr(systole, "_LAYER_HI", 1)
+    # the shear metric's cheapest xi progress, by knight steps, prices
+    # a loop at cP = 0.806 against sigma = 0.894 and a straight bound
+    # of 1, so each first-pass search reaches well past its source
+    @pytest.mark.parametrize("lo,hi,calls,message", [
+        (0, 1, 1, r"cut node \(0, 0\) can leave the cover's layer window "
+                  r"\[0, 1\] from node \(0, 0\) in layer 0"),
+        (-2, 1, 3, r"cut node \(31, 0\) can leave the cover's layer window "
+                   r"\[-2, 1\] from node \(31, 0\) in layer 1")],
+        ids=["lower", "upper"])
+    def test_first_pass_checks_the_window(self, monkeypatch, lo, hi, calls,
+                                          message):
+        # a step back across the cut leaves window [0, 1] from the first
+        # source; window [-2, 1] is left upwards, past the translate,
+        # only where a walk back down to it still fits under the limit,
+        # first from source (31, 0) in the third block of sources
+        monkeypatch.setattr(systole, "_LAYER_LO", lo)
+        monkeypatch.setattr(systole, "_LAYER_HI", hi)
         real, full = systole.dijkstra, []
 
         def recording(*args, **kwargs):
@@ -546,14 +577,66 @@ class TestSystole:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(systole, "dijkstra", recording)
-        graph = cached(("aniso", 16, 8), lambda: aniso_graph(16, 8))
-        with pytest.raises(RuntimeError, match="layer window"):
+        graph = family_graph("shear", -0.6, 16, 0)
+        with pytest.raises(RuntimeError, match=message):
             systole_sigma(graph)
-        assert full == [False]
+        assert full == [False] * calls
+
+    @pytest.mark.parametrize("family,param,conn,axis", [
+        ("aniso", 16, 8, 0), ("aniso", 16, 8, 1),
+        ("shear", -0.6, 16, 0), ("shear", 0.6, 8, 1),
+        ("trig", 0.2, 16, 0), ("trig", 0.45, 4, 1),
+        ("knight", None, 16, 0), ("knight", 0.9, 16, 1),
+        ("random", (15, 0), 16, 0), ("random", (13, 1), 8, 1),
+        ("product", 32, 16, 0)],
+        ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else None)
+    def test_first_pass_matches_the_half_radius_pass(self, family, param,
+                                                     conn, axis):
+        graph = family_graph(family, param, conn, axis)
+        sources = systole._sources(graph)
+        best = systole._straight_loop_bound(graph) * (1.0 + 1e-9)
+        estimate = systole._loop_estimates(
+            graph, systole._cover_matrix(graph), sources, best)
+        reference = half_radius_estimates(graph)
+
+        def rerun(loops):
+            return sources[loops <= loops.min() * (1.0 + 1e-9)].tolist()
+
+        assert rerun(estimate) == rerun(reference)
+        reached = np.isfinite(estimate)
+        assert reached.any()
+        assert np.allclose(estimate[reached], reference[reached],
+                           rtol=1e-12, atol=0.0)
+        assert (reference[~reached] > best).all()
+
+    def test_first_pass_settles_less_than_one_half_radius_ball(
+            self, monkeypatch):
+        graph = cached(("aniso", 64, 16), lambda: aniso_graph(64, 16))
+        cover = systole._cover_matrix(graph)
+        sources = systole._sources(graph)
+        n, base = graph.node_count, -systole._LAYER_LO
+        radius = 0.5 * systole._straight_loop_bound(graph) * (1.0 + 1e-9) \
+            + float(graph.length.max())
+        ball = np.isfinite(systole.dijkstra(
+            cover, directed=True, indices=base * n + int(sources[0]),
+            limit=radius)).sum()
+        real, settled = systole.dijkstra, []
+
+        def counting(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if not kwargs.get("return_predecessors"):
+                settled.append(int(np.isfinite(out).sum()))
+            return out
+
+        monkeypatch.setattr(systole, "dijkstra", counting)
+        systole_sigma(graph)
+        chunk = cover.nnz // cover.shape[0]
+        assert len(settled) <= math.ceil(sources.size / chunk)
+        assert sum(settled) < ball
 
     def test_layer_window_check_fires_when_narrowed(self, monkeypatch):
-        # with only levels 0 and 1 in the cover, the first source's step
-        # back across the cut already leaves the window
+        # with only levels 0 and 1 in the cover, the rerun from the
+        # trough row steps back across the cut from (0, 0)
         monkeypatch.setattr(systole, "_LAYER_LO", 0)
         monkeypatch.setattr(systole, "_LAYER_HI", 1)
         graph = cached(("aniso", 16, 8), lambda: aniso_graph(16, 8))
