@@ -265,9 +265,21 @@ def embed_graph(metric: TensorField, height, graph_axis: int | None = None,
                          f"unit gap {unit_gap.max():.3e}, "
                          f"tangency {tangency.max():.3e}")
 
-    gamma_at = sampler.take(bundle.christoffel)
-    second = np.einsum("...k,...kij,...ia,...jb->...ab", co, gamma_at,
-                       frame, frame, optimize=False)
+    # co_k Gamma^k_ij E^i_a E^j_b, summed over k, i, j (outer to inner)
+    # from zero, each term multiplied left to right: the order of the
+    # generic four-operand einsum, so the sum matches it bit for bit;
+    # keep the order
+    weighted = co[..., :, None, None] * sampler.take(bundle.christoffel)
+    second = np.empty(slice_grid.shape + (ds, ds))
+    for a in range(ds):
+        for b in range(ds):
+            acc = np.zeros(slice_grid.shape)
+            for k in range(d):
+                for i in range(d):
+                    for j in range(d):
+                        acc += (weighted[..., k, i, j] * frame[..., i, a]
+                                * frame[..., j, b])
+            second[..., a, b] = acc
     for (a, b), d2w_ab in d2w.items():
         second[..., a, b] = -(co[..., graph_axis] * d2w_ab + second[..., a, b])
     second = TensorField(slice_grid, 2,

@@ -176,24 +176,68 @@ def _straight_loop_bound(graph: WindingGraph) -> float:
     return float(loops.min())
 
 
-def _cover_matrix(graph: WindingGraph) -> csr_matrix:
-    """Directed cover graph: node (v, layer) at id layer*N + v, edges
-    shift the layer by their winding.  Out-of-range layers are cut."""
+@dataclass(frozen=True)
+class _CoverLayout:
+    """CSR structure of the directed cover graph over the layer window.
+
+    Cover node (v, layer) has id layer * N + v, and an edge shifts the
+    layer by its winding.  The directed edges are the stored edges,
+    then the same edges reversed; `order` lists them sorted by (tail,
+    winding, head).  Layer L's row for node v holds v's edges in that
+    order at columns (L + winding) * N + head, so the columns ascend
+    along every row, and `keep[L]` picks the sorted edges whose head
+    layer is in the window (all of them in the inner layers).
+    """
+
+    order: np.ndarray
+    keep: tuple
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    def matrix(self, weights: np.ndarray) -> csr_matrix:
+        """The cover with weights[e] on every copy of directed edge e;
+        every such matrix shares this layout's indices and indptr."""
+        ordered = weights[self.order]
+        size = self.indptr.size - 1
+        return csr_matrix((np.concatenate([ordered[k] for k in self.keep]),
+                           self.indices, self.indptr), shape=(size, size))
+
+
+def _cover_layout(graph: WindingGraph) -> _CoverLayout:
+    """Sort the directed edges once and tile them over the layers.
+
+    Two directed edges with the same (tail, winding, head) would share
+    one cover entry, so they raise, naming their tail node.
+    """
     n = graph.node_count
     n_layers = _LAYER_HI - _LAYER_LO + 1
-    rows, cols, data = [], [], []
-    for t, hd, w in ((graph.tail, graph.head, graph.winding),
-                     (graph.head, graph.tail, -graph.winding)):
-        for layer in range(n_layers):
-            dest = layer + w
-            ok = (dest >= 0) & (dest < n_layers)
-            rows.append(layer * n + t[ok])
-            cols.append(dest[ok] * n + hd[ok])
-            data.append(graph.length[ok])
-    size = n_layers * n
-    return csr_matrix((np.concatenate(data),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(size, size))
+    tail = np.concatenate((graph.tail, graph.head))
+    head = np.concatenate((graph.head, graph.tail))
+    wind = np.concatenate((graph.winding, -graph.winding))
+    reach = int(np.abs(wind).max(initial=0))
+    key = (tail * (2 * reach + 1) + wind + reach) * n + head
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    twin = np.flatnonzero(key[1:] == key[:-1])
+    if twin.size:
+        e = int(order[twin[0]])
+        shape = graph.grid.shape
+        raise ValueError(f"parallel edges from node "
+                         f"{node_tuple(int(tail[e]), shape)} to node "
+                         f"{node_tuple(int(head[e]), shape)} with winding "
+                         f"{int(wind[e])}")
+    tail, wind = tail[order], wind[order]
+    column = (wind * n + head[order]).astype(np.int32)
+    keep, indices, counts = [], [], []
+    for layer in range(n_layers):
+        inside = (wind >= -layer) & (wind < n_layers - layer)
+        k = slice(None) if inside.all() else np.flatnonzero(inside)
+        keep.append(k)
+        indices.append(column[k] + layer * n)
+        counts.append(np.bincount(tail[k], minlength=n))
+    indptr = np.zeros(n_layers * n + 1, dtype=np.int32)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    return _CoverLayout(order, tuple(keep), np.concatenate(indices), indptr)
 
 
 def _xi_index(graph: WindingGraph, nodes) -> np.ndarray:
@@ -323,7 +367,20 @@ def _sources(graph: WindingGraph) -> np.ndarray:
                            columns, axis=graph.xi_axis).ravel())
 
 
-def _loop_estimates(graph: WindingGraph, cover: csr_matrix,
+def _reduced_cover(graph: WindingGraph,
+                   layout: _CoverLayout) -> tuple[csr_matrix, float]:
+    """The cover on reduced costs (see systole_sigma), and the slope
+    c h_xi that prices one grid step of xi progress."""
+    steps = _xi_steps(graph)
+    moving = steps != 0
+    slope = (1.0 - 1e-12) * float(
+        (graph.length[moving] / np.abs(steps[moving])).min())
+    # a reversed edge steps back along xi
+    return layout.matrix(np.tile(graph.length, 2)
+                         - slope * np.concatenate((steps, -steps))), slope
+
+
+def _loop_estimates(graph: WindingGraph, layout: _CoverLayout,
                     sources: np.ndarray, best: float) -> np.ndarray:
     """Each source's shortest winding loop, where that is at most
     `best`, and inf where it is longer: the first pass of systole_sigma,
@@ -331,24 +388,13 @@ def _loop_estimates(graph: WindingGraph, cover: csr_matrix,
     n = graph.node_count
     n_xi = graph.grid.shape[graph.xi_axis]
     base = -_LAYER_LO
-    # X counted in grid steps, so slope is c h_xi
-    steps = _xi_steps(graph)
-    moving = steps != 0
-    slope = (1.0 - 1e-12) * float(
-        (graph.length[moving] / np.abs(steps[moving])).min())
-    # the reduced copy shares the cover's structure; an entry's xi step
-    # is its head's unwrapped position less its tail's
-    pos = _xi_positions(graph)
-    reduced = csr_matrix(
-        (cover.data - slope * (pos[cover.indices]
-                               - np.repeat(pos, np.diff(cover.indptr))),
-         cover.indices, cover.indptr), shape=cover.shape)
+    reduced, slope = _reduced_cover(graph, layout)
     period = slope * n_xi
     limit = best - period
     exits = _window_exits(graph, slope)
     # sources per call: the block of distances is at most the size of
     # the cover's data
-    chunk = cover.nnz // cover.shape[0]
+    chunk = reduced.nnz // reduced.shape[0]
     estimate = np.empty(sources.size)
     for start in range(0, sources.size, chunk):
         block = sources[start:start + chunk]
@@ -370,6 +416,8 @@ def systole_sigma(graph: WindingGraph) -> tuple[float, tuple[int, ...]]:
     the nodes of xi column 0, and of column n - 1 as well when the
     stencil steps two columns along xi: every cut-crossing edge has an
     endpoint there, so every winding cycle passes through a source.
+    The cover's CSR arrays come from one sorted order of the directed
+    edges (_CoverLayout), in scipy's canonical column order.
 
     A first pass finds each source's loop on reduced costs.  The xi
     potential X(node) = (layer * n_xi + xi column) * h_xi climbs one
@@ -380,11 +428,13 @@ def systole_sigma(graph: WindingGraph) -> tuple[float, tuple[int, ...]]:
     w - c (X(y) - X(x)) of a cover step x -> y is then positive (the
     1e-12 margin covers rounding), and along any walk from v0 to v1 it
     sums to the length less cP.  So d'(v0, v1) + cP is the loop length
-    up to rounding, one reduced copy of the cover serves every source,
-    and a search limited by best - cP reaches every node of every loop
-    no longer than best, since reduced costs never go negative.  Where
-    the shortest loops run close to the cheapest xi direction, cP is
-    close to best and each search settles a narrow corridor.  Sources
+    up to rounding, and one reduced copy of the cover serves every
+    source: its data tiles each directed edge's w - c s h_xi over the
+    layers as the cover tiles w, and it shares the cover's indices and
+    indptr.  A search limited by best - cP reaches every node of every
+    loop no longer than best, since reduced costs never go negative.
+    Where the shortest loops run close to the cheapest xi direction, cP
+    is close to best and each search settles a narrow corridor.  Sources
     are searched in blocks of cover.nnz // (cover size) per call.  The
     layer-window check runs on reduced distances and reduced exit
     lengths; an upper exit adds 2c (X(exit head) - X(v1)), the least
@@ -416,9 +466,10 @@ def systole_sigma(graph: WindingGraph) -> tuple[float, tuple[int, ...]]:
     n_xi = shape[graph.xi_axis]
     sources = _sources(graph)
 
-    cover = _cover_matrix(graph)
+    layout = _cover_layout(graph)
+    cover = layout.matrix(np.tile(graph.length, 2))
     best = _straight_loop_bound(graph) * (1.0 + 1e-9)
-    estimate = _loop_estimates(graph, cover, sources, best)
+    estimate = _loop_estimates(graph, layout, sources, best)
 
     exits = _window_exits(graph)
     best_len = math.inf

@@ -18,7 +18,7 @@ import sclab
 from sclab import hypersurface, systole
 from sclab.curvature import curvature_bundle, potential_derivatives
 from sclab.charts import ChartGrid, ScalarField, TensorField, diff_array, \
-    inverse_and_determinant, node_tuple
+    gradient_and_hessian, inverse_and_determinant, node_tuple
 
 DENSE_ORACLE_CAP = 1024
 
@@ -107,6 +107,52 @@ def reference_cycle_length(graph, cycle) -> tuple[float, int]:
     return total, wind
 
 
+def cover_matrix(graph):
+    """The cover graph that systole_sigma searches: every edge's length
+    on each of its copies."""
+    return systole._cover_layout(graph).matrix(np.tile(graph.length, 2))
+
+
+def coo_cover(graph) -> sparse.csr_matrix:
+    """The cover graph listed entry by entry, both orientations of each
+    edge on every layer its head layer stays in the window, as COO rows
+    and columns that scipy sorts and sums into canonical CSR.
+
+    The reference for systole._cover_layout, which writes the CSR arrays
+    straight from one sorted edge order: indptr, indices and data must
+    agree bit for bit.
+    """
+    n = graph.node_count
+    n_layers = systole._LAYER_HI - systole._LAYER_LO + 1
+    rows, cols, data = [], [], []
+    for t, hd, w in ((graph.tail, graph.head, graph.winding),
+                     (graph.head, graph.tail, -graph.winding)):
+        for layer in range(n_layers):
+            dest = layer + w
+            ok = (dest >= 0) & (dest < n_layers)
+            rows.append(layer * n + t[ok])
+            cols.append(dest[ok] * n + hd[ok])
+            data.append(graph.length[ok])
+    size = n_layers * n
+    return sparse.csr_matrix((np.concatenate(data),
+                              (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(size, size))
+
+
+def coo_reduced_data(graph, cover, slope: float) -> np.ndarray:
+    """Reduced costs of a canonical cover's entries: each length less
+    `slope` times its xi step, the head's unwrapped xi position less the
+    tail's, read off the entry's column and row.
+
+    The reference for the reduced copy of systole's first pass, which
+    tiles per-edge reduced lengths over the layers: the data must agree
+    bit for bit.
+    """
+    pos = systole._xi_positions(graph)
+    return cover.data - slope * (pos[cover.indices]
+                                 - np.repeat(pos, np.diff(cover.indptr)))
+
+
 def full_radius_sigma(graph) -> tuple[float, tuple[int, ...]]:
     """Systole by full-radius cover searches from every cut node.
 
@@ -125,7 +171,7 @@ def full_radius_sigma(graph) -> tuple[float, tuple[int, ...]]:
         cut = sorted(i * n1 + j for i in (0, n0 - 1) for j in range(n1))
     else:
         cut = sorted(i * n1 + j for j in (0, n1 - 1) for i in range(n0))
-    cover = systole._cover_matrix(graph)
+    cover = cover_matrix(graph)
     exits = systole._window_exits(graph)
     best = systole._straight_loop_bound(graph) * (1.0 + 1e-9)
     best_len, best_pred, best_node = math.inf, None, -1
@@ -164,7 +210,7 @@ def half_radius_estimates(graph) -> np.ndarray:
     """
     n = graph.node_count
     base = -systole._LAYER_LO
-    cover = systole._cover_matrix(graph)
+    cover = cover_matrix(graph)
     exits = systole._window_exits(graph)
     best = systole._straight_loop_bound(graph) * (1.0 + 1e-9)
     radius = 0.5 * best + float(graph.length.max())
@@ -274,6 +320,27 @@ def reference_weighted_mean_curvature(emb, phi: ScalarField) -> np.ndarray:
     return emb.mean_curvature.values + np.einsum(
         "...i,...i->...", emb.sample(TensorField(grid, 1, dphi)),
         emb.normal, optimize=False)
+
+
+def einsum_second_fundamental(emb) -> np.ndarray:
+    """The graph's second fundamental form, with co_k Gamma^k_ij E^i_a
+    E^j_b taken by one generic four-operand einsum.
+
+    The reference for embed_graph, which sums the same terms in
+    component loops: both must agree bit for bit.  The rest follows
+    embed_graph's steps from the embedding's own normal, frame and
+    height.
+    """
+    co = emb.normal_covector
+    gamma = emb.sample(emb.ambient_bundle.christoffel)
+    frame = emb.tangent_frame
+    second = np.einsum("...k,...kij,...ia,...jb->...ab", co, gamma, frame,
+                       frame, optimize=False)
+    _, d2w = gradient_and_hessian(emb.graph_height.values, emb.slice_grid)
+    for (a, b), d2w_ab in d2w.items():
+        second[..., a, b] = -(co[..., emb.graph_axis] * d2w_ab
+                              + second[..., a, b])
+    return 0.5 * (second + np.swapaxes(second, -1, -2))
 
 
 def dense_tensor_norm_sq(inverse: np.ndarray, tensor: np.ndarray):

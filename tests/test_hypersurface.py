@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     constant_metric,
+    einsum_second_fundamental,
     patch_every_binding,
     random_spd_metric,
     reference_weighted_mean_curvature,
@@ -129,6 +130,23 @@ class TestEmbedGraph:
                             graph_axis=2)
         assert np.max(np.abs(base.mean_curvature.values
                              - moved.mean_curvature.values)) < 1e-10
+
+    def test_second_fundamental_matches_the_generic_einsum(self):
+        # no Christoffel symbol vanishes on the perturbed shell, and the
+        # tilted leaf makes every frame and normal component nonzero;
+        # the random box embeds a graph along each of its axes
+        grid, metric = perturbed_shell(17, 16, 17)
+        leaves = [embed_graph(metric,
+                              lambda t, p: 1.0 + 0.02 * np.sin(p) * np.cos(t),
+                              graph_axis=2)]
+        box = make_chart(3, (8, 9, 10), (1.0, 1.2, 1.5), BOUNDARY)
+        metric = random_spd_metric(box, 5)
+        leaves += [embed_graph(metric, lambda x, y, a=axis: 0.6 + 0.05
+                               * np.sin(3 * x + a) * np.cos(2 * y),
+                               graph_axis=axis) for axis in range(3)]
+        for emb in leaves:
+            assert np.array_equal(emb.second_fundamental.values,
+                                  einsum_second_fundamental(emb))
 
     def test_rejects_graph_leaving_boundary_axis(self):
         grid, metric = solid_cylinder_band(17, 24, 8, 1.0, 2 * np.pi)

@@ -1,15 +1,17 @@
 """Module layout: no sclab module imports another module's private
 names, only charts runs stencil loops, inverts a metric or builds a
 grid, only charts (snapshots) and cli (job outputs) write files, only
-cli decides when a snapshot is written, and spectral embeds no graph
-and builds no curvature bundle of its own.
+cli decides when a snapshot is written, spectral embeds no graph
+and builds no curvature bundle of its own, and systole writes its cover
+graph straight into CSR arrays.
 
 Every file under src/sclab is parsed with ast; a relative import of a
 name with a leading underscore, a call of `diff_array`,
 `np.linalg.inv`, `np.linalg.det` or `ChartGrid` outside charts.py, an
 `open(...)` for writing outside charts.py and cli.py, a call of
-`write_snapshot` outside cli.py, or a call of `embed_graph` or
-`curvature_bundle` in spectral.py, is reported with its file and line.
+`write_snapshot` outside cli.py, a call of `embed_graph` or
+`curvature_bundle` in spectral.py, or a COO build in systole.py, is
+reported with its file and line.
 """
 
 import ast
@@ -262,3 +264,44 @@ def test_leaf_geometry_detector_names_file_and_line(tmp_path):
     assert leaf_geometry_calls(sample) == [
         "sample.py:2: embed_graph(...)", "sample.py:4: embed_graph(...)",
         "sample.py:6: curvature_bundle(...)"]
+
+
+def coo_builds(path: Path) -> list:
+    """`file:line: ...` for each `coo_matrix` call, each `.tocsr()`
+    conversion and each `csr_matrix((data, (rows, cols)))` call."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [(line, name.split(".")[-1] + "(...)")
+             for line, name in call_names(path)
+             if name.split(".")[-1] in ("coo_matrix", "tocsr")]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and node.args
+                and ast.unparse(node.func).split(".")[-1] == "csr_matrix"
+                and isinstance(node.args[0], ast.Tuple)
+                and len(node.args[0].elts) == 2
+                and isinstance(node.args[0].elts[1], ast.Tuple)):
+            found.append((node.lineno, "csr_matrix((data, (rows, cols)))"))
+    return [f"{path.name}:{line}: {what}" for line, what in sorted(found)]
+
+
+def test_systole_writes_the_cover_straight_into_csr():
+    # the cover's rows follow from one sorted edge order and the layer
+    # count; a COO build would sort and sum 1.57 M entries at res 128
+    found = coo_builds(SOURCE / "systole.py")
+    assert not found, "systole.py builds a sparse matrix through COO:\n" \
+        + "\n".join(found)
+
+
+def test_coo_detector_names_file_and_line(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("a = coo_matrix((v, (r, c)), shape=s)\n"
+                      "b = sparse.coo_matrix(m)\n"
+                      "c = m.tocsr()\n"
+                      "d = csr_matrix((v, (r, c)))\n"
+                      "e = scipy.sparse.csr_matrix(\n    (v, (r, c)))\n"
+                      "f = csr_matrix((v, ix, ptr), shape=s)\n"
+                      "g = csr_matrix(m)\n")
+    assert coo_builds(sample) == [
+        "sample.py:1: coo_matrix(...)", "sample.py:2: coo_matrix(...)",
+        "sample.py:3: tocsr(...)",
+        "sample.py:4: csr_matrix((data, (rows, cols)))",
+        "sample.py:5: csr_matrix((data, (rows, cols)))"]

@@ -11,6 +11,7 @@ Oracles, independent of the cover search under test:
     along random closed walks.
 """
 
+import dataclasses
 import math
 import shlex
 
@@ -19,8 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import constant_metric, edge_table, full_radius_sigma, \
-    half_radius_estimates, random_spd_metric, reference_cycle_length
+from helpers import constant_metric, coo_cover, coo_reduced_data, \
+    cover_matrix, edge_table, full_radius_sigma, half_radius_estimates, \
+    random_spd_metric, reference_cycle_length
 from sclab import systole
 from sclab.charts import TensorField, make_chart
 from sclab.models import TWO_PI, flat_torus, torus_surface
@@ -131,8 +133,20 @@ def product_graph(res, conn, axis):
                                connectivity=conn)
 
 
+def walled_graph(conn, axis):
+    """Random metric on a chart whose other axis has walls, so edges
+    that would leave it are dropped and wall rows have fewer edges."""
+    shape, extent = [16, 16], [TWO_PI, TWO_PI]
+    topology = ["periodic", "periodic"]
+    shape[1 - axis], extent[1 - axis], topology[1 - axis] = 9, 1.0, "boundary"
+    grid = make_chart(2, shape, extent, topology)
+    return build_winding_graph(grid, random_spd_metric(grid, 7),
+                               xi_axis=axis, connectivity=conn)
+
+
 # family -> graph builder from (param, connectivity, xi axis)
 FAMILIES = {
+    "walled": lambda p, c, a: walled_graph(c, a),
     "trig": trig_graph,
     "shear": lambda p, c, a: shear_graph(c, a, p),
     "aniso": aniso_graph,
@@ -596,7 +610,7 @@ class TestSystole:
         sources = systole._sources(graph)
         best = systole._straight_loop_bound(graph) * (1.0 + 1e-9)
         estimate = systole._loop_estimates(
-            graph, systole._cover_matrix(graph), sources, best)
+            graph, systole._cover_layout(graph), sources, best)
         reference = half_radius_estimates(graph)
 
         def rerun(loops):
@@ -612,7 +626,7 @@ class TestSystole:
     def test_first_pass_settles_less_than_one_half_radius_ball(
             self, monkeypatch):
         graph = cached(("aniso", 64, 16), lambda: aniso_graph(64, 16))
-        cover = systole._cover_matrix(graph)
+        cover = cover_matrix(graph)
         sources = systole._sources(graph)
         n, base = graph.node_count, -systole._LAYER_LO
         radius = 0.5 * systole._straight_loop_bound(graph) * (1.0 + 1e-9) \
@@ -643,6 +657,64 @@ class TestSystole:
         with pytest.raises(RuntimeError, match=r"window \[0, 1\] from node "
                                                r"\(0, 0\) in layer 0"):
             systole_sigma(graph)
+
+
+# every connectivity on both axes, walls across either xi axis, and
+# metrics whose edges all differ in length
+COVER_GRAPHS = [
+    *[("aniso", 16, conn, axis) for conn in (4, 8, 16) for axis in (0, 1)],
+    ("walled", None, 16, 0), ("walled", None, 8, 1),
+    ("random", (15, 0), 16, 0), ("random", (13, 1), 8, 1),
+    ("trig", 0.2, 4, 1), ("knight", None, 16, 1), ("product", 32, 16, 0)]
+
+
+class TestCoverLayout:
+    @pytest.mark.parametrize(
+        "family,param,conn,axis", COVER_GRAPHS,
+        ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else None)
+    def test_matches_the_coo_build(self, family, param, conn, axis):
+        graph = family_graph(family, param, conn, axis)
+        layout = systole._cover_layout(graph)
+        cover = layout.matrix(np.tile(graph.length, 2))
+        reference = coo_cover(graph)
+        assert reference.has_canonical_format
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(cover, part),
+                                  getattr(reference, part)), part
+        assert cover.indices.dtype == cover.indptr.dtype == np.int32
+        assert cover.has_sorted_indices and cover.has_canonical_format
+        reduced, slope = systole._reduced_cover(graph, layout)
+        assert slope > 0.0
+        assert np.array_equal(reduced.data,
+                              coo_reduced_data(graph, reference, slope))
+        assert np.shares_memory(reduced.indices, cover.indices)
+        assert np.shares_memory(reduced.indptr, cover.indptr)
+
+    # stored edge 5 of the 8-neighbor graph runs (0, 5) -> (1, 5), and
+    # stored edge 240 of the 4-neighbor one crosses the cut from (15, 0)
+    # to (0, 0); a twin stored backwards is the same directed pair
+    @pytest.mark.parametrize("conn,edge,reverse,message", [
+        (8, 5, False, r"from node \(0, 5\) to node \(1, 5\) with winding 0"),
+        (8, 5, True, r"from node \(0, 5\) to node \(1, 5\) with winding 0"),
+        (4, 240, False,
+         r"from node \(0, 0\) to node \(15, 0\) with winding -1")],
+        ids=["repeated", "reversed", "cut-crossing"])
+    def test_parallel_edges_raise_naming_the_node(self, conn, edge, reverse,
+                                                  message):
+        graph = family_graph("aniso", 16, conn, 0)
+        tail, head = graph.tail[edge], graph.head[edge]
+        if reverse:
+            tail, head = head, tail
+        sign = -1 if reverse else 1
+        doubled = dataclasses.replace(
+            graph, tail=np.append(graph.tail, tail),
+            head=np.append(graph.head, head),
+            length=np.append(graph.length, graph.length[edge]),
+            winding=np.append(graph.winding, sign * graph.winding[edge]))
+        with pytest.raises(ValueError, match="parallel edges " + message):
+            systole._cover_layout(doubled)
+        with pytest.raises(ValueError, match="parallel edges " + message):
+            systole_sigma(doubled)
 
 
 class TestCertificates:
