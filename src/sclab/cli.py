@@ -21,17 +21,14 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from .charts import ScalarField, TensorField, sample_field, write_snapshot
-from .curvature import f_functional
 from .expressions import parse_expression
-from .flow import (adjoint_supersolution_residual, cfl_bound,
+from .flow import (adjoint_supersolution_residual, cfl_bound, chart_measures,
                    evolution_identity_residual, flow_states, make_flow_state,
-                   monotonicity_report, profile_state, profile_states,
-                   ricci_hessian_gap, round_profile)
+                   monotonicity_report, profile_states, round_profile)
 from .hypersurface import embed_graph
 from .models import (TWO_PI, conformal_torus, flat_torus, sphere_band,
                      torus_surface)
@@ -247,12 +244,9 @@ def _run_curvature(config) -> int:
         grid, metric = _build_surface(config.geometry, values, res)
         phi = _phi_field(grid, values["phi"])
         state = make_flow_state(0.0, metric, phi)
-        gap = float(np.abs(ricci_hessian_gap(state)).max())
-        rows.append({"resolution": res,
-                     "inf_S": float(state.stabilized.values.min()),
-                     "sup_S": float(state.stabilized.values.max()),
-                     "F": f_functional(metric, phi,
-                                       stabilized=state.stabilized),
+        inf_s, f, gap = chart_measures(state)
+        rows.append({"resolution": res, "inf_S": inf_s,
+                     "sup_S": state.stabilized.values.max(), "F": f,
                      "max_ricci_hessian_gap": gap})
     path = _resolve_output(values["output"])
     emit_series(rows, path, ["resolution", "inf_S", "sup_S", "F",
@@ -277,12 +271,8 @@ def _run_flow(config) -> int:
     path = _resolve_output(values["output"])
     dt = values["dt"]
     if config.geometry == "sphere":
-        # about 17 of the steps + 1 profiles, lifted as they stream past
-        stride = max((values["steps"] + 1) // 17, 1)
-        profiles = profile_states(round_profile(values["res"], values["r0"]),
-                                  dt, values["steps"])
-        states = map(profile_state, islice(profiles, 0, None, stride))
-        dt *= stride
+        states = profile_states(round_profile(values["res"], values["r0"]),
+                                dt, values["steps"])
     else:
         grid, metric, _ = conformal_torus(values["res"], values["amplitude"])
         phi = _phi_field(grid, values["phi"])

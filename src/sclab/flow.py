@@ -11,18 +11,19 @@ Explicit Euler and midpoint steppers only: identity checks want plain
 state sequences that can be differenced in time, and desk-scale runs
 do not need implicit solvers.
 
-Both flows stream: `flow_states` and `profile_states` yield one state
-at a time, and `monotonicity_report` folds a stream once through a
-three-state window into every per-state series, the identity residual
-included.  This module writes no files: the CLI writes the torus
-flow's snapshots as the states stream past.
+Both flows stream: `flow_states` (chart states) and `profile_states`
+(sphere profiles) yield one state at a time, and `monotonicity_report`
+folds either stream once through a three-state window into every
+per-state series, the identity residual included.  This module writes
+no files: the CLI writes the torus flow's snapshots as they stream past.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .charts import ScalarField, TensorField, make_chart
+from .charts import ScalarField, TensorField
 from .curvature import (
     CurvatureBundle,
     PotentialDerivatives,
@@ -174,25 +175,30 @@ class MonotonicityReport:
         return not self.violations
 
 
-def monotonicity_report(states, dt: float) -> MonotonicityReport:
-    """Fold an iterable of states spaced dt apart into the report.
+def chart_measures(state: FlowState):
+    """inf S, F and the largest component of Ric - D^2 phi."""
+    return (state.stabilized.values.min(),
+            f_functional(state.metric, state.phi,
+                         stabilized=state.stabilized),
+            np.abs(ricci_hessian_gap(state)).max())
 
-    The states are read once through a (prev, state, nxt) window, so a
-    generator of states keeps at most three of them live.
-    """
+
+def monotonicity_report(states, dt: float) -> MonotonicityReport:
+    """Fold chart states or sphere profiles (the first decides which)
+    spaced dt apart into the report.  They are read once through a
+    (prev, state, nxt) window, so a generator keeps at most three live."""
     stream = iter(states)
     rows = []
     prev, state = None, next(stream, None)
+    measures, identity = ((profile_measures, profile_identity_residual)
+                          if isinstance(state, SphereProfile) else
+                          (chart_measures, evolution_identity_residual))
     while state is not None:
         nxt = next(stream, None)
         residual = np.nan
         if prev is not None and nxt is not None:
-            residual = np.abs(
-                evolution_identity_residual(prev, state, nxt, dt)).max()
-        rows.append((state.t, state.stabilized.values.min(),
-                     f_functional(state.metric, state.phi,
-                                  stabilized=state.stabilized),
-                     np.abs(ricci_hessian_gap(state)).max(), residual))
+            residual = np.abs(identity(prev, state, nxt, dt)).max()
+        rows.append((state.t, *measures(state), residual))
         prev, state = state, nxt
     if len(rows) < 2:
         raise ValueError("need at least two states")
@@ -269,12 +275,12 @@ def adjoint_supersolution_residual(state: FlowState) -> ScalarField:
 @dataclass(frozen=True)
 class SphereProfile:
     """Rotationally symmetric metric a dtheta^2 + b dphi^2 on staggered
-    latitude nodes (k + 1/2) pi / n.
+    latitude nodes (k + 1/2) pi / n, with phi = 0.
 
     Chart flows on latitude bands are not explicitly stable at the
-    one-sided boundary rows, so sphere flows run on this closed profile
-    instead; the two-node-per-pole staggering never evaluates at the
-    poles themselves.
+    one-sided boundary rows, so sphere flows run and are measured on
+    this closed profile instead, whose pole-parity stencils never
+    evaluate at the poles; S = R is computed once per profile.
     """
 
     t: float
@@ -285,6 +291,10 @@ class SphereProfile:
     @property
     def spacing(self) -> float:
         return float(self.theta[1] - self.theta[0])
+
+    @cached_property
+    def scalar(self) -> np.ndarray:
+        return profile_scalar_curvature(self)
 
 
 def round_profile(lat_res: int, radius: float = 1.0) -> SphereProfile:
@@ -334,6 +344,22 @@ def profile_laplacian(p: SphereProfile, values: np.ndarray) -> np.ndarray:
     return (flux[1:] - flux[:-1]) / (h * root)
 
 
+def profile_measures(p: SphereProfile):
+    """inf S, F = 2 pi h sum S sqrt(ab) and the largest chart component
+    of Ric - D^2 phi = K g, which is max(|K a|, |K b|)."""
+    s = p.scalar
+    f = 2.0 * np.pi * p.spacing * np.sum(s * np.sqrt(p.a * p.b))
+    return s.min(), f, np.abs(0.5 * s * np.maximum(p.a, p.b)).max()
+
+
+def profile_identity_residual(prev: SphereProfile, p: SphereProfile,
+                              nxt: SphereProfile, dt: float) -> np.ndarray:
+    """dS/dt - Lap S - 2|Ric|^2 at the middle of three profiles spaced
+    dt apart; with phi = 0, S = 2K and 2|Ric|^2 = 4K^2 = S^2."""
+    rate = (nxt.scalar - prev.scalar) / (2.0 * dt)
+    return rate - profile_laplacian(p, p.scalar) - p.scalar ** 2
+
+
 def profile_cfl_bound(p: SphereProfile) -> float:
     return CFL_FACTOR * p.spacing ** 2 * p.a.min()
 
@@ -343,7 +369,7 @@ def step_profile_flow(p: SphereProfile, dt: float) -> SphereProfile:
     if dt > bound:
         raise ValueError(f"dt = {dt:.3e} violates the profile CFL bound "
                          f"{bound:.3e} at t = {p.t:.6g}")
-    k = 0.5 * profile_scalar_curvature(p)
+    k = 0.5 * p.scalar
     a = p.a * (1.0 - 2.0 * dt * k)
     b = p.b * (1.0 - 2.0 * dt * k)
     if a.min() <= 0.0 or b.min() <= 0.0:
@@ -361,19 +387,3 @@ def profile_states(p: SphereProfile, dt: float, steps: int):
     for _ in range(steps):
         p = step_profile_flow(p, dt)
         yield p
-
-
-def profile_state(p: SphereProfile, lon_res: int = 8) -> FlowState:
-    """Lift a profile to a 2-D staggered chart for static checks only."""
-    n = p.theta.size
-    grid = make_chart(2, (n, lon_res),
-                      (np.pi * (n - 1) / n, 2.0 * np.pi),
-                      ("boundary", "periodic"),
-                      origin=(p.theta[0], 0.0))
-    vals = np.zeros(grid.shape + (2, 2))
-    vals[..., 0, 0] = p.a[:, None]
-    vals[..., 1, 1] = p.b[:, None]
-    metric = TensorField(grid, 2, vals)
-    phi = ScalarField(grid, np.zeros(grid.shape))
-    return make_flow_state(p.t, metric, phi)
-

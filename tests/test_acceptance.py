@@ -31,7 +31,6 @@ from sclab.flow import (
     monotonicity_report,
     profile_cfl_bound,
     profile_scalar_curvature,
-    profile_state,
     profile_states,
     ricci_hessian_gap,
     round_profile,
@@ -303,9 +302,15 @@ def test_08_monotonicity_and_rigidity():
                 flow_states(state, dt, 200), dt))
         p = round_profile(33)
         dt = 0.5 * profile_cfl_bound(p)
-        profiles = tuple(profile_states(p, dt, 220))
-        states = tuple(profile_state(q, lon_res=8) for q in profiles[::20])
-        curved_reports.append(monotonicity_report(states, 20 * dt))
+        sphere_report = monotonicity_report(profile_states(p, dt, 220), dt)
+        # the sphere is reported from its own profile stencils: S and the
+        # gap K a follow Hamilton's shrinking solution to the h^2 of
+        # res 33, and the identity holds to the centered slope's O(dt^2)
+        exact = 2.0 / (1.0 - 2.0 * sphere_report.times)
+        assert np.abs(sphere_report.inf_s / exact - 1.0).max() <= 2e-3
+        assert np.abs(sphere_report.gap_norms - 1.0).max() <= 1e-3
+        assert np.nanmax(sphere_report.identity_residuals) <= 2e-4
+        curved_reports.append(sphere_report)
         for report in curved_reports:
             assert report.monotone and report.violations == ()
             # the flag must fire exactly on the flat constant run above
@@ -348,6 +353,8 @@ def test_10_determinism(tmp_path):
              ("certificates.txt",)),
             ("identity", ["identity", "torus", "res=16,32"],
              ("identity.csv",)),
+            ("flow-sphere", ["flow", "sphere", "res=33", "dt=1e-4",
+                             "steps=200"], ("flow.csv",)),
         ]
         blobs = {}
         for threads in ("1", "8"):

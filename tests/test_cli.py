@@ -284,7 +284,7 @@ class TestCurvatureCommand:
 
 
 class TestFlowCommand:
-    def test_round_sphere_inf_s_increases(self, out_dir):
+    def test_round_sphere_inf_s_increases(self, out_dir, capsys):
         assert main(["flow", "sphere", "r0=1", "dt=1e-4", "steps=1000"]) == 0
         path = out_dir / "flow.csv"
         columns, _ = read_csv(path)
@@ -292,12 +292,33 @@ class TestFlowCommand:
                            "identity_residual_maxnorm"]
         inf_s = column(path, "inf_S")
         assert np.all(np.diff(inf_s) > 0.0)
-        # the lift onto the longitude grid scales inf_S by a fixed
-        # factor, so ratios must follow the shrinking-sphere law
-        # inf_S(t)/inf_S(0) = (1 - 2 t0)/(1 - 2 t) exactly
+        # one row per profile, the last one included
         t = column(path, "t")
-        want = (1.0 - 2.0 * t[0]) / (1.0 - 2.0 * t)
-        np.testing.assert_allclose(inf_s / inf_s[0], want, rtol=1e-2)
+        assert len(t) == 1001 and t[0] == 0.0
+        assert t[-1] == pytest.approx(0.1, rel=1e-12)
+        assert f"flow: 1001 states, inf_S {inf_s[0]:.6g} -> " \
+            f"{inf_s[-1]:.6g}, monotone=pass" in capsys.readouterr().out
+        # every row follows the shrinking sphere: S = 2/(1 - 2t), F = 8 pi
+        # (Gauss-Bonnet) and Ric - D^2 phi = K g with |K a| = 1
+        np.testing.assert_allclose(inf_s, 2.0 / (1.0 - 2.0 * t), rtol=1e-3)
+        np.testing.assert_allclose(column(path, "F"), 8.0 * math.pi,
+                                   rtol=1e-3)
+        np.testing.assert_allclose(column(path, "max_ricci_hessian_gap"),
+                                   1.0, rtol=0.0, atol=1e-3)
+        residuals = column(path, "identity_residual_maxnorm")
+        assert np.isnan(residuals[[0, -1]]).all()
+        assert residuals[1:-1].max() <= 1e-6
+
+    def test_sphere_run_builds_no_chart(self, out_dir, monkeypatch):
+        from sclab import curvature, flow
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sphere flow built a chart state")
+
+        for real in (flow.make_flow_state, curvature.curvature_bundle):
+            patch_every_binding(monkeypatch, real, refuse)
+        assert main(["flow", "sphere", "res=33", "dt=1e-4", "steps=20"]) == 0
+        assert len(column(out_dir / "flow.csv", "t")) == 21
 
     def test_torus_run_writes_snapshots(self, out_dir):
         assert main(["flow", "torus", "res=16", "amplitude=0.1", "dt=1e-3",
@@ -354,8 +375,8 @@ class TestFlowCommand:
         assert not np.isnan(report.identity_residuals[1:-1]).any()
 
     def test_sphere_run_holds_three_profiles(self, out_dir, monkeypatch):
-        # profiles stream and only every stride-th one is lifted, so the
-        # run holds a few of them however many steps it takes
+        # profiles stream into the report's three-profile window, so the
+        # run holds three of them however many steps it takes
         from sclab import flow
         refs = []
         counts = []

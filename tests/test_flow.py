@@ -24,9 +24,9 @@ from sclab.flow import (
     make_flow_state,
     monotonicity_report,
     profile_cfl_bound,
+    profile_identity_residual,
     profile_laplacian,
     profile_scalar_curvature,
-    profile_state,
     profile_states,
     ricci_hessian_gap,
     round_profile,
@@ -200,10 +200,101 @@ class TestProfileFlow:
         with pytest.raises(RuntimeError, match="lost positivity at node"):
             step_profile_flow(p, 0.9 * profile_cfl_bound(p))
 
-    def test_lift_matches_profile_on_interior(self):
-        state = profile_state(round_profile(33), lon_res=12)
-        w = lat_window(state.metric.grid)
-        assert np.abs(state.stabilized.values[w] - 2.0).max() <= 0.1
+    def test_scalar_is_computed_once_per_profile(self, monkeypatch):
+        calls = []
+
+        def counting(p):
+            calls.append(p.t)
+            return profile_scalar_curvature(p)
+
+        monkeypatch.setattr(flow, "profile_scalar_curvature", counting)
+        profiles = tuple(profile_states(round_profile(17), 1.0e-4, 4))
+        monotonicity_report(profiles, 1.0e-4)
+        assert len(calls) == len(profiles) == 5
+
+
+class TestProfileReport:
+    """The round-sphere report against Hamilton's exact flow: phi = 0,
+    S = 2/(r0^2 - 2t) at every node, F = 8 pi (Gauss-Bonnet) and
+    Ric - D^2 phi = K g, whose largest component max |K a| is 1."""
+
+    LEVELS = (33, 65, 129)
+    DT = 1.0e-4
+    STEPS = 100
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        out = []
+        for n in self.LEVELS:
+            profiles = tuple(profile_states(round_profile(n), self.DT,
+                                            self.STEPS))
+            out.append((profiles, monotonicity_report(profiles, self.DT)))
+        return out
+
+    @staticmethod
+    def scalar_error(profiles):
+        return max(np.abs(p.scalar - 2.0 / (1.0 - 2.0 * p.t)).max()
+                   for p in profiles)
+
+    def test_scalar_matches_exact_solution_at_every_node(self, runs):
+        errs = [self.scalar_error(profiles) for profiles, _ in runs]
+        start = [self.scalar_error(profiles[:1]) for profiles, _ in runs]
+        assert start[0] <= 1.6e-3 and start[-1] <= 1.0e-4
+        assert refinement_order(errs) >= 1.8
+        assert refinement_order(start) >= 1.8
+        for profiles, rep in runs:
+            assert np.array_equal(rep.times, [p.t for p in profiles])
+            assert np.array_equal(rep.inf_s,
+                                  [p.scalar.min() for p in profiles])
+            exact = 2.0 / (1.0 - 2.0 * rep.times)
+            assert (np.abs(rep.inf_s - exact) <= self.scalar_error(profiles)
+                    ).all()
+
+    @staticmethod
+    def pole_turning(p):
+        """4 pi times the turning v'/sqrt(a) of v = sqrt(b) at the two
+        poles, each slope read across the pole's parity ghost: the
+        boundary side of Gauss-Bonnet, 8 pi for a smooth sphere."""
+        v = np.sqrt(p.b)
+        return 4.0 * np.pi * (2.0 * v[0] / np.sqrt(p.a[0])
+                              + 2.0 * v[-1] / np.sqrt(p.a[-1])) / p.spacing
+
+    def test_total_matches_gauss_bonnet(self, runs):
+        # a stays constant in theta on the round profile, so the
+        # curvature stencil telescopes and F meets the pole turning to
+        # rounding; both sides close in on 8 pi at second order
+        rel = []
+        for profiles, rep in runs:
+            turning = np.array([self.pole_turning(p) for p in profiles])
+            assert np.abs(rep.f_values / turning - 1.0).max() <= 1.0e-13
+            rel.append(np.abs(rep.f_values / (8.0 * np.pi) - 1.0).max())
+        assert rel[0] <= 4.0e-4 and rel[-1] <= 3.0e-5
+        assert refinement_order(rel) >= 1.8
+
+    def test_gap_is_one_within_stencil_error(self, runs):
+        gaps = []
+        for profiles, rep in runs:
+            gap = np.abs(rep.gap_norms - 1.0).max()
+            assert gap <= self.scalar_error(profiles)
+            assert not rep.rigidity.any()
+            gaps.append(gap)
+        assert refinement_order(gaps) >= 1.8
+
+    def test_identity_residual_holds(self, runs):
+        for profiles, rep in runs:
+            assert np.isnan(rep.identity_residuals[[0, -1]]).all()
+            assert rep.identity_residuals[1:-1].max() <= 1.0e-6
+            for k in (1, len(profiles) // 2):
+                expect = np.abs(profile_identity_residual(
+                    *profiles[k - 1:k + 2], self.DT)).max()
+                assert rep.identity_residuals[k] == expect
+
+    def test_reversed_profiles_fail_the_verdict(self, runs):
+        # negative control: the same profiles read backward in time
+        profiles, _ = runs[0]
+        rep = monotonicity_report(profiles[::-1], self.DT)
+        assert not rep.monotone
+        assert rep.violations[0] == 0
 
 
 class TestEvolutionIdentity:
@@ -215,19 +306,18 @@ class TestEvolutionIdentity:
         res = evolution_identity_residual(*states[1:4], 1.0e-3)
         assert np.abs(res).max() <= 1e-10
 
-    def test_sphere_residual_h2(self):
-        # both sides equal R^2 analytically; lifted states carry the
-        # pole-row closure error, so measure on a fixed window
-        errs = []
+    def test_sphere_residual_dt2(self):
+        # both sides equal R^2 analytically; the profile stencils' h^2
+        # error cancels between them on the round sphere, so what is
+        # left at every level is the centered slope's O(dt^2)
         for n in (17, 33, 65):
-            dt = 1.0e-4
-            states = tuple(profile_state(q, lon_res=8)
-                           for q in profile_states(round_profile(n), dt, 2))
-            res = evolution_identity_residual(*states, dt)
-            w = lat_window(states[0].metric.grid)
-            errs.append(np.abs(res[w]).max())
-        assert errs[-1] <= 0.1
-        assert refinement_order(errs) >= 1.5
+            errs = []
+            for dt in (4.0e-4, 2.0e-4, 1.0e-4):
+                rep = monotonicity_report(
+                    profile_states(round_profile(n), dt, 2), dt)
+                errs.append(rep.identity_residuals[1])
+            assert errs[-1] <= 1.0e-6
+            assert refinement_order(errs) >= 1.8
 
     def test_perturbed_torus_order_in_dt(self):
         fields = []
@@ -286,10 +376,9 @@ class TestMonotonicity:
     def test_sphere_inf_s_strictly_increases(self):
         p = round_profile(33)
         dt = 0.5 * profile_cfl_bound(p)
-        profiles = tuple(profile_states(p, dt, 220))
-        states = tuple(profile_state(q, lon_res=8) for q in profiles[::20])
-        rep = monotonicity_report(states, 20 * dt)
+        rep = monotonicity_report(profile_states(p, dt, 220), dt)
         assert rep.monotone
+        assert len(rep.times) == 221
         assert (np.diff(rep.inf_s) > 0).all()
         assert not rep.rigidity.any()
 
