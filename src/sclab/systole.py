@@ -42,9 +42,9 @@ CONNECTIVITY_OFFSETS = {
 # Cover layers searched by systole_sigma, whose sources sit at winding
 # level 0.  A minimizer with partial winding outside [-2, 3] would have
 # to cross the cut five extra times; no metric in this corpus comes
-# close.  Every search checks the window at its own limit (the best
-# loop less its xi potential in the first pass, the best loop in the
-# reruns), and systole_sigma raises if a walk within it could step out.
+# close.  The first pass checks the window at its limit, the best loop
+# less its xi potential, and raises if a walk within it could step out;
+# the reruns' limit is no higher, so they settle only checked nodes.
 _LAYER_LO, _LAYER_HI = -2, 3
 
 
@@ -245,47 +245,40 @@ def _xi_index(graph: WindingGraph, nodes) -> np.ndarray:
     return np.unravel_index(nodes, graph.grid.shape)[graph.xi_axis]
 
 
-def _xi_positions(graph: WindingGraph) -> np.ndarray:
-    """Unwrapped xi position of every cover id, in grid steps:
-    layer * n_xi + xi column, exact integers."""
+def _xi_steps(graph: WindingGraph, edges=slice(None)) -> np.ndarray:
+    """Step of each stored edge in `edges` (all by default) along the
+    unwrapped xi axis, tail to head, in grid steps: exact integers."""
     n_xi = graph.grid.shape[graph.xi_axis]
-    xi = _xi_index(graph, np.arange(graph.node_count)).astype(np.int32)
-    layers = np.arange(_LAYER_HI - _LAYER_LO + 1, dtype=np.int32)
-    return (layers[:, None] * n_xi + xi).ravel()
+    return (_xi_index(graph, graph.head[edges])
+            - _xi_index(graph, graph.tail[edges])
+            + graph.winding[edges] * n_xi)
 
 
-def _xi_steps(graph: WindingGraph) -> np.ndarray:
-    """Each stored edge's step along the unwrapped xi axis, tail to
-    head, in grid steps: exact integers."""
-    n_xi = graph.grid.shape[graph.xi_axis]
-    return (_xi_index(graph, graph.head) - _xi_index(graph, graph.tail)
-            + graph.winding * n_xi)
-
-
-def _window_exits(graph: WindingGraph, slope: float = 0.0) -> tuple:
-    """Cover steps that the layer window cuts off, per outermost layer:
-    (layer, cover ids of the step tails, step lengths less `slope` per
-    xi step, unwrapped xi positions of the step heads)."""
+def _window_exits(graph: WindingGraph, slope: float) -> tuple:
+    """Cover steps that the layer window cuts off, lowest layer first:
+    (cover ids of the step tails, step lengths less `slope` per xi step,
+    unwrapped xi positions of the step heads, in grid steps)."""
     n = graph.node_count
+    n_xi = graph.grid.shape[graph.xi_axis]
     cross = np.flatnonzero(graph.winding)
-    tails = np.concatenate((graph.tail[cross], graph.head[cross]))
-    shift = np.concatenate((graph.winding[cross], -graph.winding[cross]))
-    steps = _xi_steps(graph)[cross]
+    steps = _xi_steps(graph, cross)
     steps = np.concatenate((steps, -steps))
-    lengths = np.concatenate((graph.length[cross], graph.length[cross]))
-    pos = _xi_positions(graph)
-    exits = []
-    for layer, side in ((_LAYER_LO, shift < 0), (_LAYER_HI, shift > 0)):
-        ids = (layer - _LAYER_LO) * n + tails[side]
-        exits.append((layer, ids, lengths[side] - slope * steps[side],
-                      pos[ids] + steps[side]))
-    return tuple(exits)
+    # a crossing steps along xi the way it winds: down out of the lowest
+    # layer, up out of the highest one
+    side = np.argsort(steps > 0, kind="stable")
+    tails = np.concatenate((graph.tail[cross], graph.head[cross]))[side]
+    steps = steps[side]
+    layer = np.where(steps > 0, _LAYER_HI - _LAYER_LO, 0)
+    return (layer * n + tails,
+            np.tile(graph.length[cross], 2)[side] - slope * steps,
+            layer * n_xi + _xi_index(graph, tails) + steps)
 
 
 def _check_layer_window(graph: WindingGraph, dist: np.ndarray, limit: float,
-                        source: int, exits: tuple,
-                        slope: float = 0.0) -> None:
-    """Raise if a walk within the search limit could leave the window.
+                        sources: np.ndarray, exits: tuple,
+                        slope: float) -> None:
+    """Raise if a walk within the search limit could leave the window,
+    naming the first source (one per row of `dist`) whose walk could.
 
     A walk's first step out of the window starts at a node of an
     outermost layer that the truncated search has settled.  When no
@@ -295,19 +288,21 @@ def _check_layer_window(graph: WindingGraph, dist: np.ndarray, limit: float,
     reduced cost of walking back from its head to the source's
     translate: 2 slope per grid step that the head lies beyond it.
     """
+    ids, lengths, heads = exits
     n_xi = graph.grid.shape[graph.xi_axis]
-    target = (1 - _LAYER_LO) * n_xi + int(_xi_index(graph, source))
-    for layer, ids, lengths, heads in exits:
-        back = 2.0 * slope * np.maximum(heads - target, 0)
-        over = np.flatnonzero(dist[ids] + lengths + back <= limit)
-        if over.size:
-            node = node_tuple(int(ids[over[0]]) % graph.node_count,
-                              graph.grid.shape)
-            raise RuntimeError(
-                f"systole search from cut node "
-                f"{node_tuple(source, graph.grid.shape)} can leave the "
-                f"cover's layer window [{_LAYER_LO}, {_LAYER_HI}] from "
-                f"node {node} in layer {layer}")
+    target = (1 - _LAYER_LO) * n_xi + _xi_index(graph, sources)
+    back = 2.0 * slope * np.maximum(heads - target[:, None], 0)
+    over = dist[:, ids] + lengths + back <= limit
+    rows = np.flatnonzero(over.any(axis=1))
+    if rows.size:
+        shape = graph.grid.shape
+        at = int(ids[np.argmax(over[rows[0]])])
+        raise RuntimeError(
+            f"systole search from cut node "
+            f"{node_tuple(int(sources[rows[0]]), shape)} can leave the "
+            f"cover's layer window [{_LAYER_LO}, {_LAYER_HI}] from node "
+            f"{node_tuple(at % graph.node_count, shape)} in layer "
+            f"{at // graph.node_count + _LAYER_LO}")
 
 
 def cycle_length(graph: WindingGraph, cycle) -> tuple[float, int]:
@@ -317,19 +312,26 @@ def cycle_length(graph: WindingGraph, cycle) -> tuple[float, int]:
     by its tail * N + head key; lengths are added in walk order, as a
     shortest-path search accumulates them along its path.
     """
-    steps, winding = _walk_steps(graph, cycle)
+    steps, winding = _walk_steps(graph, _edge_keys(graph), cycle)
     return float(np.add.accumulate(steps)[-1]), int(winding.sum())
 
 
-def _walk_steps(graph: WindingGraph, cycle) -> tuple[np.ndarray, np.ndarray]:
+def _edge_keys(graph: WindingGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Keys tail * N + head of stored, then reversed, edges; their argsort."""
+    n = graph.node_count
+    keys = np.concatenate((graph.tail * n + graph.head,
+                           graph.head * n + graph.tail))
+    return keys, np.argsort(keys, kind="stable")
+
+
+def _walk_steps(graph: WindingGraph, edge_keys: tuple,
+                cycle) -> tuple[np.ndarray, np.ndarray]:
     """Edge length and winding of each step of a closed node walk."""
     walk = np.asarray(cycle, dtype=np.int64)
     if walk.size < 2 or walk[0] != walk[-1]:
         raise ValueError("cycle must be a closed walk (first node == last)")
+    keys, order = edge_keys
     n = graph.node_count
-    keys = np.concatenate((graph.tail * n + graph.head,
-                           graph.head * n + graph.tail))
-    order = np.argsort(keys, kind="stable")
     steps = walk[:-1] * n + walk[1:]
     at = np.searchsorted(keys, steps, sorter=order)
     found = order[np.minimum(at, keys.size - 1)]
@@ -380,31 +382,34 @@ def _reduced_cover(graph: WindingGraph,
                          - slope * np.concatenate((steps, -steps))), slope
 
 
-def _loop_estimates(graph: WindingGraph, layout: _CoverLayout,
+def _searches(reduced: csr_matrix, sources: np.ndarray, limit: float,
+              predecessors: bool = False):
+    """Dijkstra on the reduced cover from each source at level 0, up to
+    `limit`, yielding each block of cover.nnz // (cover size) sources
+    (distances at most the size of the cover's data) with its output."""
+    n = reduced.shape[0] // (_LAYER_HI - _LAYER_LO + 1)
+    chunk = reduced.nnz // reduced.shape[0]
+    for start in range(0, sources.size, chunk):
+        block = sources[start:start + chunk]
+        yield block, dijkstra(reduced, directed=True,
+                              indices=-_LAYER_LO * n + block, limit=limit,
+                              return_predecessors=predecessors)
+
+
+def _loop_estimates(graph: WindingGraph, reduced: csr_matrix, slope: float,
                     sources: np.ndarray, best: float) -> np.ndarray:
     """Each source's shortest winding loop, where that is at most
     `best`, and inf where it is longer: the first pass of systole_sigma,
-    searched on reduced costs."""
-    n = graph.node_count
-    n_xi = graph.grid.shape[graph.xi_axis]
-    base = -_LAYER_LO
-    reduced, slope = _reduced_cover(graph, layout)
-    period = slope * n_xi
+    which checks the layer window once per block."""
+    period = slope * graph.grid.shape[graph.xi_axis]
     limit = best - period
     exits = _window_exits(graph, slope)
-    # sources per call: the block of distances is at most the size of
-    # the cover's data
-    chunk = reduced.nnz // reduced.shape[0]
-    estimate = np.empty(sources.size)
-    for start in range(0, sources.size, chunk):
-        block = sources[start:start + chunk]
-        dist = dijkstra(reduced, directed=True, indices=base * n + block,
-                        limit=limit)
-        for row, v in enumerate(block.tolist()):
-            _check_layer_window(graph, dist[row], limit, v, exits, slope)
-        estimate[start:start + chunk] = period + dist[
-            np.arange(block.size), (base + 1) * n + block]
-    return estimate
+    level1 = (1 - _LAYER_LO) * graph.node_count  # v1's cover id, less v
+    estimate = []
+    for block, dist in _searches(reduced, sources, limit):
+        _check_layer_window(graph, dist, limit, block, exits, slope)
+        estimate.append(period + dist[np.arange(block.size), level1 + block])
+    return np.concatenate(estimate)
 
 
 def systole_sigma(graph: WindingGraph) -> tuple[float, tuple[int, ...]]:
@@ -419,35 +424,34 @@ def systole_sigma(graph: WindingGraph) -> tuple[float, tuple[int, ...]]:
     The cover's CSR arrays come from one sorted order of the directed
     edges (_CoverLayout), in scipy's canonical column order.
 
-    A first pass finds each source's loop on reduced costs.  The xi
-    potential X(node) = (layer * n_xi + xi column) * h_xi climbs one
-    period P = n_xi h_xi from v0 to v1, whatever the source, and
-    c = (1 - 1e-12) min length / (|s| h_xi), over the edges whose exact
-    integer xi step s = head column - tail column + winding * n_xi is
-    nonzero, prices the cheapest xi progress.  The reduced cost
-    w - c (X(y) - X(x)) of a cover step x -> y is then positive (the
-    1e-12 margin covers rounding), and along any walk from v0 to v1 it
-    sums to the length less cP.  So d'(v0, v1) + cP is the loop length
-    up to rounding, and one reduced copy of the cover serves every
-    source: its data tiles each directed edge's w - c s h_xi over the
-    layers as the cover tiles w, and it shares the cover's indices and
-    indptr.  A search limited by best - cP reaches every node of every
-    loop no longer than best, since reduced costs never go negative.
-    Where the shortest loops run close to the cheapest xi direction, cP
-    is close to best and each search settles a narrow corridor.  Sources
-    are searched in blocks of cover.nnz // (cover size) per call.  The
-    layer-window check runs on reduced distances and reduced exit
+    Both passes search one cover, on reduced costs.  The xi potential
+    X(node) = (layer * n_xi + xi column) * h_xi climbs one period
+    P = n_xi h_xi from v0 to v1, whatever the source, and c = (1 - 1e-12)
+    min length / (|s| h_xi), over the edges whose exact integer xi step
+    s = head column - tail column + winding * n_xi is nonzero, prices the
+    cheapest xi progress.  The reduced cost w - c (X(y) - X(x)) of a
+    cover step x -> y is then positive (the 1e-12 margin covers
+    rounding), and along any walk from v0 to v1 it sums to the length
+    less cP, so d'(v0, v1) + cP is the loop length up to rounding.  A
+    search limited by best - cP reaches every node of every loop no
+    longer than best; where the shortest loops run close to the
+    cheapest xi direction, it settles a narrow corridor.  Sources are
+    searched in blocks of cover.nnz // (cover size) per call.  The first
+    pass checks the layer window on reduced distances and reduced exit
     lengths; an upper exit adds 2c (X(exit head) - X(v1)), the least
     reduced cost of walking back down to v1, since moving against xi
     costs at least 2c per unit of X.
 
-    A second pass reruns the full search, with predecessors, from each
-    source whose estimate is within 1e-9 (relative) of the least, in
-    index order, limited by the best loop so far; ties break to the
-    lowest source index.  sigma is that search's path sum, not the
-    reduced estimate.  The cheapest pure-xi loop seeds `best`.  The
-    reported cycle is walked again and must give sigma (to 1e-12
-    relative) with winding +-1.
+    The second pass reruns, with predecessors, the sources whose
+    estimate is within 1e-9 (relative) of the least, limited by
+    min(least (1 + 1e-9), best) - cP.  That is never above the first
+    pass's limit on the same graph from the same source, so a rerun
+    settles only nodes whose window the first pass has checked.  Each
+    loop is walked back along the predecessors; its sigma is its real
+    step lengths added in walk order, as a real-cost search adds them
+    along its path, and must match cP + d' to 1e-12 (relative) with
+    winding +-1.  sigma is the least of these, ties going to the lowest
+    source index.  The cheapest pure-xi loop seeds `best`.
 
     With unit xi steps the cycle also passes through xi column n - 1,
     and a search from there would sum the same loop from another start,
@@ -461,61 +465,55 @@ def systole_sigma(graph: WindingGraph) -> tuple[float, tuple[int, ...]]:
     worst-case slack.
     """
     n = graph.node_count
-    shape = graph.grid.shape
-    base = -_LAYER_LO  # layer index of winding level 0
-    n_xi = shape[graph.xi_axis]
+    n_xi = graph.grid.shape[graph.xi_axis]
     sources = _sources(graph)
-
-    layout = _cover_layout(graph)
-    cover = layout.matrix(np.tile(graph.length, 2))
+    reduced, slope = _reduced_cover(graph, _cover_layout(graph))
+    period = slope * n_xi
     best = _straight_loop_bound(graph) * (1.0 + 1e-9)
-    estimate = _loop_estimates(graph, layout, sources, best)
+    estimate = _loop_estimates(graph, reduced, slope, sources, best)
 
-    exits = _window_exits(graph)
-    best_len = math.inf
-    best_pred = None
-    best_node = -1
-    for v in sources[estimate <= estimate.min() * (1.0 + 1e-9)].tolist():
-        src = base * n + v
-        dist, pred = dijkstra(cover, directed=True, indices=src,
-                              limit=best, return_predecessors=True)
-        _check_layer_window(graph, dist, best, v, exits)
-        d = float(dist[(base + 1) * n + v])
-        if d < best_len:
-            best_len, best_pred, best_node = d, pred, v
-            best = d * (1.0 + 1e-9)
-    if best_pred is None:
+    least = estimate.min() * (1.0 + 1e-9)
+    edge_keys = _edge_keys(graph)
+    sigma, cycle, steps = math.inf, None, None
+    for block, (dist, pred) in _searches(reduced, sources[estimate <= least],
+                                         min(least, best) - period,
+                                         predecessors=True):
+        for row, v in enumerate(block.tolist()):
+            at = (1 - _LAYER_LO) * n + v
+            searched = period + float(dist[row, at])
+            if searched == math.inf:
+                continue
+            # both ends of the tree's walk project to v: the loop closes
+            loop = []
+            while at != -_LAYER_LO * n + v:
+                loop.append(at % n)
+                at = int(pred[row, at])
+                if at < 0:
+                    raise RuntimeError("shortest-path tree lost the source")
+            loop = [v] + loop[::-1]
+            loop_steps, winding = _walk_steps(graph, edge_keys, loop)
+            length = float(np.add.accumulate(loop_steps)[-1])
+            if (abs(length - searched) > 1e-12 * searched
+                    or abs(winding.sum()) != 1):
+                raise RuntimeError(
+                    f"systole cycle from cut node "
+                    f"{node_tuple(v, graph.grid.shape)} walks to length "
+                    f"{length!r} with winding {winding.sum()}, "
+                    f"not to its search's {searched!r} with winding +-1")
+            if length < sigma:
+                sigma, cycle, steps = length, loop, loop_steps
+    if cycle is None:
         raise RuntimeError("no closed walk with nonzero winding was found")
 
-    # Walk predecessors from the translate back to the source; both
-    # project to best_node, so the projected walk closes up on its own.
-    cycle = []
-    at = (base + 1) * n + best_node
-    src = base * n + best_node
-    while at != src:
-        cycle.append(int(at) % n)
-        at = int(best_pred[at])
-        if at < 0:
-            raise RuntimeError("shortest-path tree lost the source")
-    cycle.append(best_node)
-    cycle.reverse()
-    steps, winding = _walk_steps(graph, cycle)
-    length, winding = float(np.add.accumulate(steps)[-1]), int(winding.sum())
-    if abs(length - best_len) > 1e-12 * best_len or abs(winding) != 1:
-        raise RuntimeError(
-            f"systole cycle from cut node {node_tuple(best_node, shape)} "
-            f"walks to length {length!r} with winding {winding}, not to "
-            f"sigma {best_len!r} with winding +-1")
     if _xi_reach(graph) == 1:
-        loop = np.asarray(cycle[:-1])
-        last = _xi_index(graph, loop) == n_xi - 1
+        last = _xi_index(graph, np.asarray(cycle[:-1])) == n_xi - 1
         start = 0
         for k in np.flatnonzero(last).tolist():
             total = float(np.add.accumulate(np.roll(steps, -k))[-1])
-            if (total, cycle[k]) < (best_len, cycle[start]):
-                best_len, start = total, k
+            if (total, cycle[k]) < (sigma, cycle[start]):
+                sigma, start = total, k
         cycle = cycle[start:-1] + cycle[:start + 1]
-    return best_len, tuple(cycle)
+    return sigma, tuple(cycle)
 
 
 # --- equality certificates -------------------------------------------------

@@ -146,9 +146,14 @@ def coo_reduced_data(graph, cover, slope: float) -> np.ndarray:
 
     The reference for the reduced copy of systole's first pass, which
     tiles per-edge reduced lengths over the layers: the data must agree
-    bit for bit.
+    bit for bit.  A cover id's unwrapped xi position is layer * n_xi +
+    its node's xi column, in exact integer grid steps.
     """
-    pos = systole._xi_positions(graph)
+    n_xi = graph.grid.shape[graph.xi_axis]
+    xi = np.unravel_index(np.arange(graph.node_count),
+                          graph.grid.shape)[graph.xi_axis]
+    layers = np.arange(systole._LAYER_HI - systole._LAYER_LO + 1)
+    pos = (layers[:, None] * n_xi + xi).ravel()
     return cover.data - slope * (pos[cover.indices]
                                  - np.repeat(pos, np.diff(cover.indptr)))
 
@@ -156,8 +161,9 @@ def coo_reduced_data(graph, cover, slope: float) -> np.ndarray:
 def full_radius_sigma(graph) -> tuple[float, tuple[int, ...]]:
     """Systole by full-radius cover searches from every cut node.
 
-    The reference for systole.systole_sigma, which runs full searches
-    only from the sources whose first-pass loop is least.  At
+    The reference for systole.systole_sigma, which searches reduced
+    costs in corridors and reruns only the sources whose first-pass loop
+    is least, summing each loop's real lengths along its walk.  At
     connectivity 16 both start from the first and last xi columns and
     must agree bit for bit, in sigma and in the cycle.  At connectivity
     4 and 8 systole_sigma searches from column 0 alone and sums its
@@ -172,13 +178,14 @@ def full_radius_sigma(graph) -> tuple[float, tuple[int, ...]]:
     else:
         cut = sorted(i * n1 + j for j in (0, n1 - 1) for i in range(n0))
     cover = cover_matrix(graph)
-    exits = systole._window_exits(graph)
+    exits = systole._window_exits(graph, 0.0)
     best = systole._straight_loop_bound(graph) * (1.0 + 1e-9)
     best_len, best_pred, best_node = math.inf, None, -1
     for v in cut:
         dist, pred = dijkstra(cover, directed=True, indices=base * n + v,
                               limit=best, return_predecessors=True)
-        systole._check_layer_window(graph, dist, best, v, exits)
+        systole._check_layer_window(graph, dist[None], best, np.array([v]),
+                                    exits, 0.0)
         d = float(dist[(base + 1) * n + v])
         if d < best_len:
             best_len, best_pred, best_node = d, pred, v
@@ -211,7 +218,7 @@ def half_radius_estimates(graph) -> np.ndarray:
     n = graph.node_count
     base = -systole._LAYER_LO
     cover = cover_matrix(graph)
-    exits = systole._window_exits(graph)
+    exits = systole._window_exits(graph, 0.0)
     best = systole._straight_loop_bound(graph) * (1.0 + 1e-9)
     radius = 0.5 * best + float(graph.length.max())
     sources = systole._sources(graph)
@@ -219,7 +226,8 @@ def half_radius_estimates(graph) -> np.ndarray:
     for k, v in enumerate(sources.tolist()):
         dist = dijkstra(cover, directed=True, indices=base * n + v,
                         limit=radius)
-        systole._check_layer_window(graph, dist, radius, v, exits)
+        systole._check_layer_window(graph, dist[None], radius,
+                                    np.array([v]), exits, 0.0)
         estimate[k] = (dist[n:] + dist[:-n]).min()
     return estimate
 

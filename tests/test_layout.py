@@ -3,7 +3,7 @@ names, only charts runs stencil loops, inverts a metric or builds a
 grid, only charts (snapshots) and cli (job outputs) write files, only
 cli decides when a snapshot is written, spectral embeds no graph
 and builds no curvature bundle of its own, and systole writes its cover
-graph straight into CSR arrays.
+graph straight into CSR arrays and searches it from one place.
 
 Every file under src/sclab is parsed with ast; a relative import of a
 name with a leading underscore, a call of `diff_array`,
@@ -11,7 +11,9 @@ name with a leading underscore, a call of `diff_array`,
 `open(...)` for writing outside charts.py and cli.py, a call of
 `write_snapshot` outside cli.py, a call of `embed_graph` or
 `curvature_bundle` in spectral.py, or a COO build in systole.py, is
-reported with its file and line.
+reported with its file and line.  systole.py must hold exactly one
+`dijkstra` call site and one `.matrix(...)` call: one cover, on reduced
+costs, searched by one blocked routine in both passes.
 """
 
 import ast
@@ -289,6 +291,16 @@ def test_systole_writes_the_cover_straight_into_csr():
     found = coo_builds(SOURCE / "systole.py")
     assert not found, "systole.py builds a sparse matrix through COO:\n" \
         + "\n".join(found)
+
+
+def test_systole_builds_one_cover_and_searches_it_once():
+    # both passes run on the reduced cover through one blocked search;
+    # a second cover or a second search loop would double the work
+    calls = [name.split(".") for _, name in
+             call_names(SOURCE / "systole.py")]
+    assert sum(parts[-1] == "dijkstra" for parts in calls) == 1
+    assert sum(len(parts) > 1 and parts[-1] == "matrix"
+               for parts in calls) == 1
 
 
 def test_coo_detector_names_file_and_line(tmp_path):

@@ -485,7 +485,8 @@ class TestSystole:
             cycle_length(graph, (0, 5, 0))
 
     # amplitude 1e-11 ties every row's loop within the rerun slack, with
-    # the shortest one away from row 0; the knight graphs' shortest
+    # the shortest one away from row 0; on the product torus every
+    # source's loop ties and reruns; the knight graphs' shortest
     # loops miss column 0; on random metrics at connectivity 16 both
     # searches start from the same two columns
     @pytest.mark.parametrize("family,param,conn,axis", [
@@ -494,6 +495,7 @@ class TestSystole:
         *[("shear", shear, conn, axis) for shear in (0.6, -0.6)
           for conn in (4, 8, 16) for axis in (0, 1)],
         ("aniso", 128, 16, 0),
+        ("product", 64, 16, 0), ("product", 64, 8, 0),
         ("knight", None, 16, 0), ("knight", None, 16, 1),
         *[("random", res_seed, 16, axis)
           for res_seed, axis in (((15, 0), 0), ((15, 4), 1), ((12, 14), 1),
@@ -539,18 +541,21 @@ class TestSystole:
         assert len(calls) <= graph.grid.shape[1] + 2
 
     def test_doctored_cycle_is_rejected(self, monkeypatch):
-        # full searches that report every distance 1e-9 long hand back
-        # a cycle that no longer walks to the sigma they report
+        # predecessor searches that report every distance 1e-9 sigma long
+        # hand back a cycle that no longer walks to cP + d'; the offset is
+        # additive, since d' is nearly 0 where the loop runs along the
+        # cheapest xi direction, as on the trough row here
+        graph = cached(("aniso", 16, 8), lambda: aniso_graph(16, 8))
+        offset = 1e-9 * systole_sigma(graph)[0]
         real = systole.dijkstra
 
         def doctored(*args, **kwargs):
             out = real(*args, **kwargs)
             if kwargs.get("return_predecessors"):
-                return out[0] * (1.0 + 1e-9), out[1]
+                return out[0] + offset, out[1]
             return out
 
         monkeypatch.setattr(systole, "dijkstra", doctored)
-        graph = cached(("aniso", 16, 8), lambda: aniso_graph(16, 8))
         with pytest.raises(RuntimeError, match=r"cycle from cut node "
                                                r"\(0, \d+\) walks to length"):
             systole_sigma(graph)
@@ -609,8 +614,10 @@ class TestSystole:
         graph = family_graph(family, param, conn, axis)
         sources = systole._sources(graph)
         best = systole._straight_loop_bound(graph) * (1.0 + 1e-9)
-        estimate = systole._loop_estimates(
-            graph, systole._cover_layout(graph), sources, best)
+        reduced, slope = systole._reduced_cover(
+            graph, systole._cover_layout(graph))
+        estimate = systole._loop_estimates(graph, reduced, slope, sources,
+                                           best)
         reference = half_radius_estimates(graph)
 
         def rerun(loops):
@@ -648,15 +655,77 @@ class TestSystole:
         assert len(settled) <= math.ceil(sources.size / chunk)
         assert sum(settled) < ball
 
-    def test_layer_window_check_fires_when_narrowed(self, monkeypatch):
-        # with only levels 0 and 1 in the cover, the rerun from the
-        # trough row steps back across the cut from (0, 0)
+    def test_tied_reruns_settle_no_more_than_the_first_pass(
+            self, monkeypatch):
+        # every row's loop ties on the product torus, so every source
+        # reruns, in the first pass's blocks and within its corridors
+        graph = family_graph("product", 64, 16, 0)
+        sources = systole._sources(graph)
+        reduced, slope = systole._reduced_cover(
+            graph, systole._cover_layout(graph))
+        estimate = systole._loop_estimates(
+            graph, reduced, slope, sources,
+            systole._straight_loop_bound(graph) * (1.0 + 1e-9))
+        tied = int((estimate <= estimate.min() * (1.0 + 1e-9)).sum())
+        assert tied == sources.size
+        real, settled = systole.dijkstra, {False: [], True: []}
+
+        def counting(*args, **kwargs):
+            out = real(*args, **kwargs)
+            dist = out[0] if kwargs["return_predecessors"] else out
+            settled[kwargs["return_predecessors"]].append(
+                int(np.isfinite(dist).sum()))
+            return out
+
+        monkeypatch.setattr(systole, "dijkstra", counting)
+        systole_sigma(graph)
+        chunk = reduced.nnz // reduced.shape[0]
+        assert 0 < len(settled[True]) <= math.ceil(tied / chunk)
+        assert sum(settled[True]) <= sum(settled[False])
+
+    def narrowed_searches(self, monkeypatch):
+        """Narrow the cover to levels 0 and 1, and record the first
+        pass's limit per source id and each rerun's ids and limit."""
         monkeypatch.setattr(systole, "_LAYER_LO", 0)
         monkeypatch.setattr(systole, "_LAYER_HI", 1)
-        graph = cached(("aniso", 16, 8), lambda: aniso_graph(16, 8))
+        real, first, reruns = systole.dijkstra, {}, []
+
+        def recording(*args, **kwargs):
+            if kwargs["return_predecessors"]:
+                reruns.append((kwargs["indices"].tolist(), kwargs["limit"]))
+            else:
+                first.update(dict.fromkeys(kwargs["indices"].tolist(),
+                                           kwargs["limit"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(systole, "dijkstra", recording)
+        return first, reruns
+
+    def test_layer_window_check_fires_when_narrowed(self, monkeypatch):
+        # with only levels 0 and 1 in the cover, the first pass steps
+        # back across the cut from the first source, before any rerun
+        graph = family_graph("random", (15, 0), 16, 0)
+        _, reruns = self.narrowed_searches(monkeypatch)
         with pytest.raises(RuntimeError, match=r"window \[0, 1\] from node "
                                                r"\(0, 0\) in layer 0"):
             systole_sigma(graph)
+        assert not reruns
+
+    # the aniso and product corridors stay inside levels 0 and 1, and
+    # the reruns, limited no higher than the first pass from the same
+    # source, need no window check of their own
+    @pytest.mark.parametrize("family,param,conn,axis", [
+        ("aniso", 16, 8, 0), ("product", 32, 16, 0)],
+        ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else None)
+    def test_reruns_stay_within_the_checked_window(self, monkeypatch, family,
+                                                   param, conn, axis):
+        graph = family_graph(family, param, conn, axis)
+        reference = full_radius_sigma(graph)
+        first, reruns = self.narrowed_searches(monkeypatch)
+        assert systole_sigma(graph) == reference
+        assert reruns
+        for indices, limit in reruns:
+            assert all(limit <= first[i] for i in indices)
 
 
 # every connectivity on both axes, walls across either xi axis, and
