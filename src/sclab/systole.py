@@ -42,9 +42,8 @@ CONNECTIVITY_OFFSETS = {
 # Cover layers searched by systole_sigma, whose sources sit at winding
 # level 0.  A minimizer with partial winding outside [-2, 3] would have
 # to cross the cut five extra times; no metric in this corpus comes
-# close.  The first pass checks the window at its limit, the best loop
-# less its xi potential, and raises if a walk within it could step out;
-# the reruns' limit is no higher, so they settle only checked nodes.
+# close.  The first pass raises if a walk within its limit could step
+# out, and the reruns' limit is no higher (see systole_sigma).
 _LAYER_LO, _LAYER_HI = -2, 3
 
 
@@ -409,6 +408,7 @@ def _loop_estimates(graph: WindingGraph, reduced: csr_matrix, slope: float,
     for block, dist in _searches(reduced, sources, limit):
         _check_layer_window(graph, dist, limit, block, exits, slope)
         estimate.append(period + dist[np.arange(block.size), level1 + block])
+        del dist  # one block of distances alive at a time
     return np.concatenate(estimate)
 
 
@@ -467,7 +467,8 @@ def systole_sigma(graph: WindingGraph) -> tuple[float, tuple[int, ...]]:
     n = graph.node_count
     n_xi = graph.grid.shape[graph.xi_axis]
     sources = _sources(graph)
-    reduced, slope = _reduced_cover(graph, _cover_layout(graph))
+    layout = _cover_layout(graph)  # held: freeing it here fragments the heap
+    reduced, slope = _reduced_cover(graph, layout)
     period = slope * n_xi
     best = _straight_loop_bound(graph) * (1.0 + 1e-9)
     estimate = _loop_estimates(graph, reduced, slope, sources, best)
