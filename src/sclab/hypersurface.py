@@ -542,14 +542,15 @@ class FaceTrace:
 
     axis: int
     side: int
-    lhs: np.ndarray   # <grad_Sigma log rho, eta> + H of the face in Sigma
+    lhs: np.ndarray   # <grad_Sigma phi, eta> + H of the face in Sigma
     rhs: np.ndarray   # <grad phi, eta> + H of the ambient wall
     residual: np.ndarray
 
 
-def boundary_trace_identity(emb: HypersurfaceEmbedding, rho: ScalarField,
+def boundary_trace_identity(emb: HypersurfaceEmbedding,
                             phi: ScalarField) -> dict:
-    """Residual of the boundary trace relation on every boundary face.
+    """Residual of the boundary trace relation on every boundary face,
+    for the weight rho = e^phi.
 
     Face curvatures are read in closed form with outward normals: the
     face inside the hypersurface from the induced metric's Christoffel
@@ -561,13 +562,9 @@ def boundary_trace_identity(emb: HypersurfaceEmbedding, rho: ScalarField,
     if emb.slice_grid.dim < 2:
         raise ValueError("boundary faces of a 1-d slice are points; "
                          "no face curvature is defined")
-    rho_s = emb.sample(rho)
-    phi_amb = restrict(phi, emb.ambient_grid)
-    if np.any(rho.values <= 0.0):
-        raise ValueError("density must be positive")
-
-    grad_rho_s = gradient(np.log(rho_s), emb.slice_grid)
-    dphi_s = emb.sample(gradient(phi_amb, emb.ambient_grid))
+    grad_phi_s = gradient(emb.sample(phi), emb.slice_grid)
+    dphi_s = emb.sample(gradient(restrict(phi, emb.ambient_grid),
+                                 emb.ambient_grid))
 
     out = {}
     for (a, side), eta in emb.boundary_normal.items():
@@ -577,7 +574,7 @@ def boundary_trace_identity(emb: HypersurfaceEmbedding, rho: ScalarField,
             np.take(emb.intrinsic.christoffel, row, axis=a), a,
             side).mean_curvature
         h_wall = chart_wall(emb, a, side).mean_curvature
-        lhs = np.einsum("...b,...b->...", np.take(grad_rho_s, row, axis=a),
+        lhs = np.einsum("...b,...b->...", np.take(grad_phi_s, row, axis=a),
                         eta, optimize=False) + h_face
         eta_amb = np.einsum("...ib,...b->...i",
                             np.take(emb.tangent_frame, row, axis=a), eta,

@@ -71,9 +71,20 @@ class WindingGraph:
 
 def _midpoint_metric(grid, metric, tail_idx, head_idx, mid_coords):
     """2x2 metric per edge: sampled fields use the endpoint average
-    (second order at the midpoint), callables are evaluated exactly."""
+    (second order at the midpoint), callables are evaluated exactly and
+    must return one finite 2x2 matrix per edge."""
     if callable(metric):
-        return np.asarray(metric(*mid_coords), dtype=float)
+        g_mid = np.asarray(metric(*mid_coords), dtype=float)
+        if g_mid.shape != (tail_idx.size, 2, 2):
+            raise ValueError(f"metric callable must return shape "
+                             f"({tail_idx.size}, 2, 2) at these edge "
+                             f"midpoints, got {g_mid.shape}")
+        finite = np.isfinite(g_mid).all(axis=(1, 2))
+        if not finite.all():
+            at = node_tuple(int(tail_idx[np.argmin(finite)]), grid.shape)
+            raise ValueError(f"metric callable is not finite at the "
+                             f"midpoint of an edge from node {at}")
+        return g_mid
     if not (isinstance(metric, TensorField) and metric.rank == 2):
         raise TypeError("metric must be a rank-2 TensorField or a callable")
     flat = metric.values.reshape(-1, 2, 2)
@@ -85,7 +96,7 @@ def build_winding_graph(grid: ChartGrid, metric, xi_axis: int = 0,
     """Edge lattice on a 2-d chart with winding labels around xi_axis.
 
     `metric` is either a TensorField sampled on the chart or a callable
-    (x1, x2) -> (..., 2, 2) evaluated at segment midpoints.  Edges that
+    (x1, x2) -> (edges, 2, 2) evaluated at segment midpoints.  Edges that
     would leave a boundary axis are dropped; the winding axis must be
     periodic, since the cut needs a closed direction to be crossed.
     """
@@ -169,74 +180,22 @@ def _straight_loop_bound(graph: WindingGraph) -> float:
     start = 0
     if graph.xi_axis == 1:
         start = n1 * (n0 if graph.grid.topology[0] == PERIODIC else n0 - 1)
-    steps = graph.length[start:start + n0 * n1].reshape(n0, n1)
+    edges = slice(start, start + n0 * n1)
+    nodes = np.arange(n0 * n1)
+    ahead = np.roll(nodes.reshape(n0, n1), -1, axis=graph.xi_axis).ravel()
+    tail, head = graph.tail[edges], graph.head[edges]
+    off = np.flatnonzero((tail != nodes[:tail.size])
+                         | (head != ahead[:tail.size]))
+    k = int(off[0]) if off.size else tail.size
+    if k < nodes.size:
+        raise ValueError(f"edge {start + k} is not the unit xi step out of "
+                         f"node {node_tuple(k, graph.grid.shape)}; the "
+                         "graph's edges are not in build_winding_graph's "
+                         "order")
+    steps = graph.length[edges].reshape(n0, n1)
     # cumsum adds along the loop in order, as walking it would
     loops = np.cumsum(steps, axis=graph.xi_axis).take(-1, graph.xi_axis)
     return float(loops.min())
-
-
-@dataclass(frozen=True)
-class _CoverLayout:
-    """CSR structure of the directed cover graph over the layer window.
-
-    Cover node (v, layer) has id layer * N + v, and an edge shifts the
-    layer by its winding.  The directed edges are the stored edges,
-    then the same edges reversed; `order` lists them sorted by (tail,
-    winding, head).  Layer L's row for node v holds v's edges in that
-    order at columns (L + winding) * N + head, so the columns ascend
-    along every row, and `keep[L]` picks the sorted edges whose head
-    layer is in the window (all of them in the inner layers).
-    """
-
-    order: np.ndarray
-    keep: tuple
-    indices: np.ndarray
-    indptr: np.ndarray
-
-    def matrix(self, weights: np.ndarray) -> csr_matrix:
-        """The cover with weights[e] on every copy of directed edge e;
-        every such matrix shares this layout's indices and indptr."""
-        ordered = weights[self.order]
-        size = self.indptr.size - 1
-        return csr_matrix((np.concatenate([ordered[k] for k in self.keep]),
-                           self.indices, self.indptr), shape=(size, size))
-
-
-def _cover_layout(graph: WindingGraph) -> _CoverLayout:
-    """Sort the directed edges once and tile them over the layers.
-
-    Two directed edges with the same (tail, winding, head) would share
-    one cover entry, so they raise, naming their tail node.
-    """
-    n = graph.node_count
-    n_layers = _LAYER_HI - _LAYER_LO + 1
-    tail = np.concatenate((graph.tail, graph.head))
-    head = np.concatenate((graph.head, graph.tail))
-    wind = np.concatenate((graph.winding, -graph.winding))
-    reach = int(np.abs(wind).max(initial=0))
-    key = (tail * (2 * reach + 1) + wind + reach) * n + head
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    twin = np.flatnonzero(key[1:] == key[:-1])
-    if twin.size:
-        e = int(order[twin[0]])
-        shape = graph.grid.shape
-        raise ValueError(f"parallel edges from node "
-                         f"{node_tuple(int(tail[e]), shape)} to node "
-                         f"{node_tuple(int(head[e]), shape)} with winding "
-                         f"{int(wind[e])}")
-    tail, wind = tail[order], wind[order]
-    column = (wind * n + head[order]).astype(np.int32)
-    keep, indices, counts = [], [], []
-    for layer in range(n_layers):
-        inside = (wind >= -layer) & (wind < n_layers - layer)
-        k = slice(None) if inside.all() else np.flatnonzero(inside)
-        keep.append(k)
-        indices.append(column[k] + layer * n)
-        counts.append(np.bincount(tail[k], minlength=n))
-    indptr = np.zeros(n_layers * n + 1, dtype=np.int32)
-    np.cumsum(np.concatenate(counts), out=indptr[1:])
-    return _CoverLayout(order, tuple(keep), np.concatenate(indices), indptr)
 
 
 def _xi_index(graph: WindingGraph, nodes) -> np.ndarray:
@@ -368,17 +327,58 @@ def _sources(graph: WindingGraph) -> np.ndarray:
                            columns, axis=graph.xi_axis).ravel())
 
 
-def _reduced_cover(graph: WindingGraph,
-                   layout: _CoverLayout) -> tuple[csr_matrix, float]:
-    """The cover on reduced costs (see systole_sigma), and the slope
-    c h_xi that prices one grid step of xi progress."""
+def _reduced_cover(graph: WindingGraph) -> tuple[csr_matrix, float]:
+    """The directed cover graph over the layer window, on reduced costs
+    (see systole_sigma), and the slope c h_xi that prices one grid step
+    of xi progress.
+
+    Cover node (v, layer) has id layer * N + v, and an edge shifts the
+    layer by its winding.  The directed edges are the stored edges,
+    then the same edges reversed, sorted once by (tail, winding, head).
+    Layer L's row for node v holds v's edges in that order at columns
+    (L + winding) * N + head, so the columns ascend along every row;
+    edges whose head layer leaves the window are dropped.  Two directed
+    edges with the same (tail, winding, head) would share one cover
+    entry, so they raise, naming their tail node.
+    """
+    n = graph.node_count
+    n_layers = _LAYER_HI - _LAYER_LO + 1
     steps = _xi_steps(graph)
     moving = steps != 0
     slope = (1.0 - 1e-12) * float(
         (graph.length[moving] / np.abs(steps[moving])).min())
+    tail = np.concatenate((graph.tail, graph.head))
+    head = np.concatenate((graph.head, graph.tail))
+    wind = np.concatenate((graph.winding, -graph.winding))
+    reach = int(np.abs(wind).max(initial=0))
+    key = (tail * (2 * reach + 1) + wind + reach) * n + head
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    twin = np.flatnonzero(key[1:] == key[:-1])
+    if twin.size:
+        e = int(order[twin[0]])
+        shape = graph.grid.shape
+        raise ValueError(f"parallel edges from node "
+                         f"{node_tuple(int(tail[e]), shape)} to node "
+                         f"{node_tuple(int(head[e]), shape)} with winding "
+                         f"{int(wind[e])}")
     # a reversed edge steps back along xi
-    return layout.matrix(np.tile(graph.length, 2)
-                         - slope * np.concatenate((steps, -steps))), slope
+    cost = (np.tile(graph.length, 2)
+            - slope * np.concatenate((steps, -steps)))[order]
+    tail, wind = tail[order], wind[order]
+    column = (wind * n + head[order]).astype(np.int32)
+    data, indices, counts = [], [], []
+    for layer in range(n_layers):
+        inside = (wind >= -layer) & (wind < n_layers - layer)
+        k = slice(None) if inside.all() else np.flatnonzero(inside)
+        data.append(cost[k])
+        indices.append(column[k] + layer * n)
+        counts.append(np.bincount(tail[k], minlength=n))
+    indptr = np.zeros(n_layers * n + 1, dtype=np.int32)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    size = n_layers * n
+    return csr_matrix((np.concatenate(data), np.concatenate(indices), indptr),
+                      shape=(size, size)), slope
 
 
 def _searches(reduced: csr_matrix, sources: np.ndarray, limit: float,
@@ -422,7 +422,7 @@ def systole_sigma(graph: WindingGraph) -> tuple[float, tuple[int, ...]]:
     stencil steps two columns along xi: every cut-crossing edge has an
     endpoint there, so every winding cycle passes through a source.
     The cover's CSR arrays come from one sorted order of the directed
-    edges (_CoverLayout), in scipy's canonical column order.
+    edges (_reduced_cover), in scipy's canonical column order.
 
     Both passes search one cover, on reduced costs.  The xi potential
     X(node) = (layer * n_xi + xi column) * h_xi climbs one period
@@ -467,8 +467,7 @@ def systole_sigma(graph: WindingGraph) -> tuple[float, tuple[int, ...]]:
     n = graph.node_count
     n_xi = graph.grid.shape[graph.xi_axis]
     sources = _sources(graph)
-    layout = _cover_layout(graph)  # held: freeing it here fragments the heap
-    reduced, slope = _reduced_cover(graph, layout)
+    reduced, slope = _reduced_cover(graph)
     period = slope * n_xi
     best = _straight_loop_bound(graph) * (1.0 + 1e-9)
     estimate = _loop_estimates(graph, reduced, slope, sources, best)

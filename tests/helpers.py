@@ -107,20 +107,14 @@ def reference_cycle_length(graph, cycle) -> tuple[float, int]:
     return total, wind
 
 
-def cover_matrix(graph):
-    """The cover graph that systole_sigma searches: every edge's length
-    on each of its copies."""
-    return systole._cover_layout(graph).matrix(np.tile(graph.length, 2))
-
-
 def coo_cover(graph) -> sparse.csr_matrix:
     """The cover graph listed entry by entry, both orientations of each
     edge on every layer its head layer stays in the window, as COO rows
     and columns that scipy sorts and sums into canonical CSR.
 
-    The reference for systole._cover_layout, which writes the CSR arrays
-    straight from one sorted edge order: indptr, indices and data must
-    agree bit for bit.
+    The reference for the structure of systole._reduced_cover, which
+    writes the CSR arrays straight from one sorted edge order: indptr
+    and indices must agree bit for bit.
     """
     n = graph.node_count
     n_layers = systole._LAYER_HI - systole._LAYER_LO + 1
@@ -144,9 +138,9 @@ def coo_reduced_data(graph, cover, slope: float) -> np.ndarray:
     `slope` times its xi step, the head's unwrapped xi position less the
     tail's, read off the entry's column and row.
 
-    The reference for the reduced copy of systole's first pass, which
-    tiles per-edge reduced lengths over the layers: the data must agree
-    bit for bit.  A cover id's unwrapped xi position is layer * n_xi +
+    The reference for the data of systole._reduced_cover, which tiles
+    per-edge reduced lengths over the layers: they must agree bit for
+    bit.  A cover id's unwrapped xi position is layer * n_xi +
     its node's xi column, in exact integer grid steps.
     """
     n_xi = graph.grid.shape[graph.xi_axis]
@@ -177,7 +171,7 @@ def full_radius_sigma(graph) -> tuple[float, tuple[int, ...]]:
         cut = sorted(i * n1 + j for i in (0, n0 - 1) for j in range(n1))
     else:
         cut = sorted(i * n1 + j for j in (0, n1 - 1) for i in range(n0))
-    cover = cover_matrix(graph)
+    cover = coo_cover(graph)
     exits = systole._window_exits(graph, 0.0)
     best = systole._straight_loop_bound(graph) * (1.0 + 1e-9)
     best_len, best_pred, best_node = math.inf, None, -1
@@ -217,7 +211,7 @@ def half_radius_estimates(graph) -> np.ndarray:
     """
     n = graph.node_count
     base = -systole._LAYER_LO
-    cover = cover_matrix(graph)
+    cover = coo_cover(graph)
     exits = systole._window_exits(graph, 0.0)
     best = systole._straight_loop_bound(graph) * (1.0 + 1e-9)
     radius = 0.5 * best + float(graph.length.max())

@@ -439,7 +439,7 @@ class TestBoundaryTrace:
         metric = constant_metric(grid, np.eye(3))
         emb = embed_graph(metric, lambda a, b: np.full_like(a, np.pi),
                           graph_axis=2)
-        traces = boundary_trace_identity(emb, ones_on(grid), zeros_on(grid))
+        traces = boundary_trace_identity(emb, zeros_on(grid))
         assert set(traces) == {(0, 0), (0, 1)}
         for face in traces.values():
             assert np.max(np.abs(face.lhs)) < 1e-12
@@ -453,7 +453,7 @@ class TestBoundaryTrace:
                                            inner=inner)
         emb = embed_graph(metric, lambda s, al: np.full_like(s, np.pi),
                           graph_axis=2)
-        traces = boundary_trace_identity(emb, ones_on(grid), zeros_on(grid))
+        traces = boundary_trace_identity(emb, zeros_on(grid))
         outer = traces[(0, 1)]
         assert np.max(np.abs(outer.lhs - 1.0 / radius)) < 1e-10
         assert np.max(np.abs(outer.rhs - 1.0 / radius)) < 1e-10
@@ -467,8 +467,7 @@ class TestBoundaryTrace:
         emb = embed_graph(metric, lambda s, al: np.full_like(s, np.pi),
                           graph_axis=2)
         phi = sample_field(grid, lambda *x: np.full_like(x[0], 0.7))
-        rho = sample_field(grid, lambda *x: np.full_like(x[0], np.exp(0.7)))
-        traces = boundary_trace_identity(emb, rho, phi)
+        traces = boundary_trace_identity(emb, phi)
         for face in traces.values():
             assert np.max(np.abs(face.residual)) < 1e-10
 
@@ -483,7 +482,7 @@ class TestBoundaryTrace:
         u = ones_on(emb.slice_grid)
         gauss_identity_sides(emb, ones_on(grid), u)
         gauss_identity_residual(emb, ones_on(grid), u)
-        traces = boundary_trace_identity(emb, ones_on(grid), zeros_on(grid))
+        traces = boundary_trace_identity(emb, zeros_on(grid))
         assert len(traces) == 2
         assert bundle_grids == [emb.slice_grid]
 
@@ -492,4 +491,4 @@ class TestBoundaryTrace:
         emb = embed_graph(metric, lambda a, b: np.full_like(a, 1.0),
                           graph_axis=2)
         with pytest.raises(ValueError, match="no boundary"):
-            boundary_trace_identity(emb, ones_on(grid), zeros_on(grid))
+            boundary_trace_identity(emb, zeros_on(grid))

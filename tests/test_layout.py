@@ -12,8 +12,8 @@ name with a leading underscore, a call of `diff_array`,
 `write_snapshot` outside cli.py, a call of `embed_graph` or
 `curvature_bundle` in spectral.py, or a COO build in systole.py, is
 reported with its file and line.  systole.py must hold exactly one
-`dijkstra` call site and one `.matrix(...)` call: one cover, on reduced
-costs, searched by one blocked routine in both passes.
+`dijkstra` call site and one `csr_matrix(...)` call: one cover, on
+reduced costs, searched by one blocked routine in both passes.
 """
 
 import ast
@@ -299,8 +299,7 @@ def test_systole_builds_one_cover_and_searches_it_once():
     calls = [name.split(".") for _, name in
              call_names(SOURCE / "systole.py")]
     assert sum(parts[-1] == "dijkstra" for parts in calls) == 1
-    assert sum(len(parts) > 1 and parts[-1] == "matrix"
-               for parts in calls) == 1
+    assert sum(parts[-1] == "csr_matrix" for parts in calls) == 1
 
 
 def test_coo_detector_names_file_and_line(tmp_path):

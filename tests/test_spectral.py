@@ -503,7 +503,7 @@ def leaf_strand(fol, rho, middle):
     var = weighted_area_variation(fol)
     leaf = fol.slices[middle]
     pair = principal_eigenpair(assemble_jacobi(leaf, rho))
-    traces = boundary_trace_identity(leaf, rho, fol.log_density)
+    traces = boundary_trace_identity(leaf, fol.log_density)
     out = {"mu": check.mu, "area": var.area, "area_rate": var.area_rate,
            "variation": var.variation, "eigenvalue": pair.eigenvalue,
            "eigenfunction": pair.eigenfunction.values}
@@ -583,8 +583,8 @@ class TestAmbientSlab:
                 gauss_identity_sides(box, rho, ScalarField(
                     box.slice_grid, np.ones(box.slice_grid.shape)))):
             assert np.array_equal(a.values, b.values)
-        traces = boundary_trace_identity(leaf, rho, phi)
-        for key, face in boundary_trace_identity(box, rho, phi).items():
+        traces = boundary_trace_identity(leaf, phi)
+        for key, face in boundary_trace_identity(box, phi).items():
             assert np.array_equal(traces[key].lhs, face.lhs)
             assert np.array_equal(traces[key].rhs, face.rhs)
 

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import constant_metric, coo_cover, coo_reduced_data, \
-    cover_matrix, edge_table, full_radius_sigma, half_radius_estimates, \
+    edge_table, full_radius_sigma, half_radius_estimates, \
     random_spd_metric, reference_cycle_length
 from sclab import systole
 from sclab.charts import TensorField, make_chart
@@ -373,6 +373,24 @@ class TestWindingGraph:
         with pytest.raises(ValueError, match="positive definite"):
             build_winding_graph(grid, bad, connectivity=8)
 
+    # the 8 x 8 torus has 64 edges per stencil offset, and the first
+    # offset's midpoints sit at ((i + 1/2) h, j h) with h = 1/8
+    @pytest.mark.parametrize("metric,message", [
+        (lambda x1, x2: np.eye(2),
+         r"must return shape \(64, 2, 2\) at these edge midpoints, "
+         r"got \(2, 2\)"),
+        (lambda x1, x2: np.broadcast_to(np.eye(3), np.shape(x1) + (3, 3)),
+         r"must return shape \(64, 2, 2\) at these edge midpoints, "
+         r"got \(64, 3, 3\)"),
+        (lambda x1, x2: np.where(((x1 > 0.3) & (x2 > 0.3))[:, None, None],
+                                 np.nan, np.eye(2)),
+         r"not finite at the midpoint of an edge from node \(2, 3\)")],
+        ids=["constant", "3x3", "nan"])
+    def test_rejects_malformed_callable_metric(self, metric, message):
+        grid, _ = flat_torus(8, (1.0, 1.0))
+        with pytest.raises(ValueError, match=message):
+            build_winding_graph(grid, metric, connectivity=8)
+
 
 class TestSystole:
     def test_unit_torus_four_neighbor_is_exactly_one(self):
@@ -483,6 +501,24 @@ class TestSystole:
         graph = cached(("aniso", 16, 8), lambda: aniso_graph(16, 8))
         with pytest.raises(ValueError, match="not a graph edge"):
             cycle_length(graph, (0, 5, 0))
+
+    def test_rejects_edges_out_of_build_order(self):
+        # the straight-loop bound reads the unit xi steps as one block;
+        # with the (0, 1) block first it would read the cheap fiber
+        # steps, and the search limit would drop below zero
+        grid, _ = flat_torus(16, (1.0, 1.0))
+        graph = build_winding_graph(
+            grid, constant_metric(grid, np.diag([1.0, 0.04])), xi_axis=0,
+            connectivity=4)
+        assert systole_sigma(graph)[0] == 1.0
+        n = graph.node_count
+        swap = np.r_[n:2 * n, 0:n]
+        permuted = dataclasses.replace(
+            graph, tail=graph.tail[swap], head=graph.head[swap],
+            length=graph.length[swap], winding=graph.winding[swap])
+        with pytest.raises(ValueError, match=r"edge 0 is not the unit xi "
+                           r"step out of node \(0, 0\)"):
+            systole_sigma(permuted)
 
     # amplitude 1e-11 ties every row's loop within the rerun slack, with
     # the shortest one away from row 0; on the product torus every
@@ -614,8 +650,7 @@ class TestSystole:
         graph = family_graph(family, param, conn, axis)
         sources = systole._sources(graph)
         best = systole._straight_loop_bound(graph) * (1.0 + 1e-9)
-        reduced, slope = systole._reduced_cover(
-            graph, systole._cover_layout(graph))
+        reduced, slope = systole._reduced_cover(graph)
         estimate = systole._loop_estimates(graph, reduced, slope, sources,
                                            best)
         reference = half_radius_estimates(graph)
@@ -633,7 +668,7 @@ class TestSystole:
     def test_first_pass_settles_less_than_one_half_radius_ball(
             self, monkeypatch):
         graph = cached(("aniso", 64, 16), lambda: aniso_graph(64, 16))
-        cover = cover_matrix(graph)
+        cover = coo_cover(graph)
         sources = systole._sources(graph)
         n, base = graph.node_count, -systole._LAYER_LO
         radius = 0.5 * systole._straight_loop_bound(graph) * (1.0 + 1e-9) \
@@ -661,8 +696,7 @@ class TestSystole:
         # reruns, in the first pass's blocks and within its corridors
         graph = family_graph("product", 64, 16, 0)
         sources = systole._sources(graph)
-        reduced, slope = systole._reduced_cover(
-            graph, systole._cover_layout(graph))
+        reduced, slope = systole._reduced_cover(graph)
         estimate = systole._loop_estimates(
             graph, reduced, slope, sources,
             systole._straight_loop_bound(graph) * (1.0 + 1e-9))
@@ -743,21 +777,17 @@ class TestCoverLayout:
         ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else None)
     def test_matches_the_coo_build(self, family, param, conn, axis):
         graph = family_graph(family, param, conn, axis)
-        layout = systole._cover_layout(graph)
-        cover = layout.matrix(np.tile(graph.length, 2))
+        reduced, slope = systole._reduced_cover(graph)
         reference = coo_cover(graph)
         assert reference.has_canonical_format
-        for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(cover, part),
+        for part in ("indptr", "indices"):
+            assert np.array_equal(getattr(reduced, part),
                                   getattr(reference, part)), part
-        assert cover.indices.dtype == cover.indptr.dtype == np.int32
-        assert cover.has_sorted_indices and cover.has_canonical_format
-        reduced, slope = systole._reduced_cover(graph, layout)
+        assert reduced.indices.dtype == reduced.indptr.dtype == np.int32
+        assert reduced.has_sorted_indices and reduced.has_canonical_format
         assert slope > 0.0
         assert np.array_equal(reduced.data,
                               coo_reduced_data(graph, reference, slope))
-        assert np.shares_memory(reduced.indices, cover.indices)
-        assert np.shares_memory(reduced.indptr, cover.indptr)
 
     # stored edge 5 of the 8-neighbor graph runs (0, 5) -> (1, 5), and
     # stored edge 240 of the 4-neighbor one crosses the cut from (15, 0)
@@ -781,7 +811,7 @@ class TestCoverLayout:
             length=np.append(graph.length, graph.length[edge]),
             winding=np.append(graph.winding, sign * graph.winding[edge]))
         with pytest.raises(ValueError, match="parallel edges " + message):
-            systole._cover_layout(doubled)
+            systole._reduced_cover(doubled)
         with pytest.raises(ValueError, match="parallel edges " + message):
             systole_sigma(doubled)
 
