@@ -9,10 +9,11 @@ falling back to second-order one-sided stencils at boundary-axis edges.
 A slab is a window of one boundary axis's rows of a full chart, with the
 full chart's node coordinates; `restrict` hands full-chart fields to it.
 
-Integration weights nodes by sqrt(det g) times the cell volume (trapezoid
-half-cells at boundary-axis edges) and accumulates with a fixed pairwise
-tree so the sum is reproducible bit for bit regardless of how the node
-loop is scheduled.
+Integration weights nodes by a held volume density sqrt(det g) (a
+bundle's `volume`, a leaf's `induced_volume`: `integrate` inverts
+nothing) times the cell volume (trapezoid half-cells at boundary-axis
+edges) and accumulates with a fixed pairwise tree so the sum is
+reproducible bit for bit regardless of how the node loop is scheduled.
 """
 
 from __future__ import annotations
@@ -221,21 +222,14 @@ class TensorField:
 
 
 def make_chart(dim, resolution, extent, topology, origin=None) -> ChartGrid:
-    """Build a validated grid; spacing follows from extent and topology."""
-    resolution = _as_tuple(resolution, dim, int)
-    extent = _as_tuple(extent, dim, float)
-    if isinstance(topology, str):
-        topology = (topology,) * dim
-    topology = tuple(topology)
-    if origin is None:
-        origin = (0.0,) * dim
-    origin = _as_tuple(origin, dim, float)
-    if len(resolution) != dim:
-        raise ValueError(f"expected {dim} resolutions, got {len(resolution)}")
+    """Build a validated grid; spacing follows from extent and topology.
+    Each per-axis argument is one value for all axes or one per axis."""
+    resolution = _as_tuple(resolution, dim, int, "resolution")
+    extent = _as_tuple(extent, dim, float, "extent")
+    topology = _as_tuple(topology, dim, str, "topology")
+    origin = _as_tuple(0.0 if origin is None else origin, dim, float, "origin")
     spacing = []
     for a in range(dim):
-        if topology[a] not in (PERIODIC, BOUNDARY):
-            raise ValueError(f"axis {a}: unknown topology {topology[a]!r}")
         n = resolution[a] if topology[a] == PERIODIC else resolution[a] - 1
         if n <= 0:
             raise ValueError(f"axis {a}: resolution too small")
@@ -431,13 +425,12 @@ def _adjugate(m: np.ndarray) -> np.ndarray:
     return adj
 
 
-def integrate(field: ScalarField, metric: TensorField) -> float:
-    """Riemannian integral: tree-summed values * sqrt(det g) * cell volume."""
+def integrate(field: ScalarField, volume: ScalarField) -> float:
+    """Riemannian integral: tree-summed values * volume * cell volume."""
     grid = field.grid
-    if metric.grid is not grid and metric.grid != grid:
-        raise ValueError("field and metric live on different grids")
-    det = inverse_and_determinant(metric.values)[1]
-    return tree_sum(field.values * np.sqrt(det) * grid.cell_weights())
+    if volume.grid is not grid and volume.grid != grid:
+        raise ValueError("field and volume live on different grids")
+    return tree_sum(field.values * volume.values * grid.cell_weights())
 
 
 _SNAP_MAGIC = "chartsnap 1"
@@ -513,10 +506,11 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _as_tuple(value, dim, cast):
-    if np.isscalar(value):
-        return (cast(value),) * dim
-    return tuple(cast(v) for v in value)
+def _as_tuple(value, dim, cast, name):
+    values = (value,) * dim if np.isscalar(value) else tuple(value)
+    if len(values) != dim:
+        raise ValueError(f"expected {dim} {name} entries, got {len(values)}")
+    return tuple(cast(v) for v in values)
 
 
 def _axis_slice(ndim, axis, index):

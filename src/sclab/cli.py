@@ -373,13 +373,10 @@ def _run_systole(config) -> int:
     if config.geometry == "product-torus":
         grid, metric = torus_surface(res, res, radius=values["r"],
                                      fiber_len=values["fiber"])
-        graph = build_winding_graph(grid, metric, xi_axis=0,
-                                    connectivity=conn)
     else:
         grid, _ = flat_torus(res, (TWO_PI, TWO_PI))
-        metric_fn = _aniso_metric_fn(values["amplitude"])
-        graph = build_winding_graph(grid, metric_fn, xi_axis=0,
-                                    connectivity=conn)
+        metric = _aniso_metric_fn(values["amplitude"])
+    graph = build_winding_graph(grid, metric, xi_axis=0, connectivity=conn)
     sigma, cycle = systole_sigma(graph)
     path = _resolve_output(values["output"])
     emit_series([{"resolution": res, "connectivity": conn, "sigma": sigma,

@@ -32,6 +32,7 @@ class CurvatureBundle:
     grid: ChartGrid
     metric: TensorField
     inverse: np.ndarray       # g^{ij} per node
+    volume: ScalarField       # sqrt(det g), the density `integrate` reads
     christoffel: np.ndarray   # Gamma^k_{ij} per node, symmetric in (i, j)
     ricci: TensorField
     scalar: ScalarField
@@ -59,7 +60,7 @@ def curvature_bundle(metric: TensorField) -> CurvatureBundle:
     sym_gap = np.max(np.abs(g - np.swapaxes(g, -1, -2)))
     if sym_gap > 1e-12:
         raise ValueError(f"metric is not symmetric (gap {sym_gap:.3e})")
-    inv = inverse_and_determinant(g)[0]
+    inv, det = inverse_and_determinant(g)
 
     # dg[..., i, j, a] = d_a g_{ij}; d2g[k, l][..., i, j] = d_k d_l g_{ij}
     dg, d2g = gradient_and_hessian(g, grid)
@@ -115,7 +116,8 @@ def curvature_bundle(metric: TensorField) -> CurvatureBundle:
     ric = 0.5 * (ric + np.swapaxes(ric, -1, -2))
 
     scal = np.einsum("...ij,...ij->...", inv, ric, optimize=False)
-    return CurvatureBundle(grid, metric, inv, gamma,
+    return CurvatureBundle(grid, metric, inv,
+                           ScalarField(grid, np.sqrt(det)), gamma,
                            TensorField(grid, 2, ric),
                            ScalarField(grid, scal))
 
@@ -172,13 +174,13 @@ def stabilized_scalar(metric: TensorField, phi: ScalarField,
     return ScalarField(metric.grid, s)
 
 
-def f_functional(metric: TensorField, phi: ScalarField,
+def f_functional(bundle: CurvatureBundle, phi: ScalarField,
                  stabilized: ScalarField) -> float:
     """Weighted total stabilized curvature: integral of S e^phi dvol,
-    given stabilized = S of (metric, phi)."""
-    weighted = ScalarField(metric.grid,
+    given the metric's bundle and stabilized = S of (metric, phi)."""
+    weighted = ScalarField(bundle.grid,
                            stabilized.values * np.exp(phi.values))
-    return integrate(weighted, metric)
+    return integrate(weighted, bundle.volume)
 
 
 @dataclass(frozen=True)

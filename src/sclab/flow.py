@@ -42,7 +42,7 @@ class FlowState:
     """One instant of the coupled flow with its derived quantities.
 
     The bundle, phi's derivatives and S are computed once from (metric,
-    phi) when a state is built; nothing is ever patched in place.
+    phi) when a state is built, Ric - D^2 phi once when first read.
     """
 
     t: float
@@ -51,6 +51,11 @@ class FlowState:
     bundle: CurvatureBundle
     potential: PotentialDerivatives
     stabilized: ScalarField
+
+    @cached_property
+    def ricci_hessian_gap(self) -> np.ndarray:
+        """Pointwise components of Ric - D^2 phi, the rigidity defect."""
+        return self.bundle.ricci.values - self.potential.hessian.values
 
 
 def make_flow_state(t: float, metric: TensorField,
@@ -83,10 +88,11 @@ def step_coupled_flow(state: FlowState, dt: float,
     if dt > bound:
         raise ValueError(f"dt = {dt:.3e} violates the CFL bound "
                          f"{bound:.3e} at t = {state.t:.6g}")
+    if scheme not in ("euler", "midpoint"):
+        raise ValueError(f"unknown scheme {scheme!r}; "
+                         "use 'euler' or 'midpoint'")
     g_rate, phi_rate = _slopes(state)
-    if scheme == "euler":
-        pass
-    elif scheme == "midpoint":
+    if scheme == "midpoint":
         half = make_flow_state(
             state.t + 0.5 * dt,
             TensorField(state.metric.grid, 2,
@@ -94,9 +100,6 @@ def step_coupled_flow(state: FlowState, dt: float,
             ScalarField(state.phi.grid,
                         state.phi.values + 0.5 * dt * phi_rate))
         g_rate, phi_rate = _slopes(half)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}; "
-                         "use 'euler' or 'midpoint'")
     metric = TensorField(state.metric.grid, 2,
                          state.metric.values + dt * g_rate)
     phi = ScalarField(state.phi.grid, state.phi.values + dt * phi_rate)
@@ -133,11 +136,6 @@ def _tensor_norm_sq(inverse: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     return acc
 
 
-def ricci_hessian_gap(state: FlowState) -> np.ndarray:
-    """Pointwise components of Ric - D^2 phi, the rigidity defect."""
-    return state.bundle.ricci.values - state.potential.hessian.values
-
-
 def evolution_identity_residual(prev: FlowState, state: FlowState,
                                 nxt: FlowState, dt: float) -> np.ndarray:
     """dS/dt - Lap S - 2|Ric - D^2 phi|^2 at the middle of three states
@@ -147,7 +145,7 @@ def evolution_identity_residual(prev: FlowState, state: FlowState,
     lap_s = potential_derivatives(state.bundle,
                                   state.stabilized).laplacian.values
     forcing = 2.0 * _tensor_norm_sq(state.bundle.inverse,
-                                    ricci_hessian_gap(state))
+                                    state.ricci_hessian_gap)
     return rate - lap_s - forcing
 
 
@@ -178,9 +176,9 @@ class MonotonicityReport:
 def chart_measures(state: FlowState):
     """inf S, F and the largest component of Ric - D^2 phi."""
     return (state.stabilized.values.min(),
-            f_functional(state.metric, state.phi,
+            f_functional(state.bundle, state.phi,
                          stabilized=state.stabilized),
-            np.abs(ricci_hessian_gap(state)).max())
+            np.abs(state.ricci_hessian_gap).max())
 
 
 def monotonicity_report(states, dt: float) -> MonotonicityReport:
@@ -264,7 +262,7 @@ def adjoint_supersolution_residual(state: FlowState) -> ScalarField:
                          + s * (pot.gradient_sq.values
                                 + pot.laplacian.values))
 
-    forcing = 2.0 * _tensor_norm_sq(inv, ric - pot.hessian.values)
+    forcing = 2.0 * _tensor_norm_sq(inv, state.ricci_hessian_gap)
 
     weight = np.exp(state.phi.values)
     residual = weight * (s_dot + s * phi_dot + lap_p_over_weight - r * s

@@ -157,8 +157,9 @@ def _slab_bundle(metric: TensorField, axis: int,
 class HypersurfaceEmbedding:
     """Graph of a height field, with its first and second fundamental data.
 
-    ambient_grid, ambient_metric and ambient_bundle live on the slab of
-    the chart the graph reads (or on the whole chart).  normal /
+    ambient_bundle, with its grid and metric, lives on the slab of the
+    chart the graph reads (or on the whole chart); induced_volume is
+    sqrt(det) of the induced metric, from its one inversion.  normal /
     normal_covector are the g-unit normal in ambient components
     (contravariant / covariant).  tangent_frame holds the pushforward
     E^i_a of the slice coordinate vectors.  boundary_normal maps a
@@ -166,8 +167,6 @@ class HypersurfaceEmbedding:
     conormal of that face inside the hypersurface, in slice components.
     """
 
-    ambient_grid: ChartGrid
-    ambient_metric: TensorField
     ambient_bundle: CurvatureBundle
     graph_axis: int
     slice_grid: ChartGrid
@@ -178,9 +177,18 @@ class HypersurfaceEmbedding:
     normal_covector: np.ndarray
     induced_metric: TensorField
     induced_inverse: np.ndarray
+    induced_volume: ScalarField
     second_fundamental: TensorField
     mean_curvature: ScalarField
     boundary_normal: dict
+
+    @property
+    def ambient_grid(self) -> ChartGrid:
+        return self.ambient_bundle.grid
+
+    @property
+    def ambient_metric(self) -> TensorField:
+        return self.ambient_bundle.metric
 
     @cached_property
     def intrinsic(self) -> CurvatureBundle:
@@ -244,7 +252,7 @@ def embed_graph(metric: TensorField, height, graph_axis: int | None = None,
     induced = np.einsum("...ij,...ia,...jb->...ab", g_at, frame, frame,
                         optimize=False)
     induced = TensorField(slice_grid, 2, 0.5 * (induced + np.swapaxes(induced, -1, -2)))
-    induced_inv = inverse_and_determinant(induced.values)[0]
+    induced_inv, induced_det = inverse_and_determinant(induced.values)
 
     co = np.zeros(slice_grid.shape + (d,))
     co[..., graph_axis] = 1.0
@@ -303,9 +311,9 @@ def embed_graph(metric: TensorField, height, graph_axis: int | None = None,
             boundary_normal[(a, side)] = eta
 
     return HypersurfaceEmbedding(
-        grid, metric, bundle, graph_axis, slice_grid, height,
-        sampler, frame, nu, co, induced, induced_inv, second,
-        ScalarField(slice_grid, mean), boundary_normal)
+        bundle, graph_axis, slice_grid, height, sampler, frame, nu, co,
+        induced, induced_inv, ScalarField(slice_grid, np.sqrt(induced_det)),
+        second, ScalarField(slice_grid, mean), boundary_normal)
 
 
 def weighted_mean_curvature(emb: HypersurfaceEmbedding,
@@ -396,7 +404,7 @@ def gauss_identity_residual(emb: HypersurfaceEmbedding, rho: ScalarField,
 def weighted_area(emb: HypersurfaceEmbedding, phi: ScalarField) -> float:
     """Integral of e^phi over the hypersurface in its induced metric."""
     return integrate(ScalarField(emb.slice_grid, np.exp(emb.sample(phi))),
-                     emb.induced_metric)
+                     emb.induced_volume)
 
 
 @dataclass(frozen=True)
@@ -442,8 +450,7 @@ def make_graph_foliation(metric: TensorField, times, heights,
     stack = np.stack([s.graph_height.values for s in slices])
     speed = np.gradient(stack, np.asarray(times), axis=0, edge_order=2)
 
-    lapse = []
-    weighted = []
+    lapse, weighted = [], []
     for k, emb in enumerate(slices):
         f = speed[k] * emb.normal_covector[..., emb.graph_axis]
         if np.any(f <= 0.0):
@@ -476,13 +483,11 @@ def weighted_area_variation(fol: GraphFoliation) -> AreaVariation:
     phi = fol.log_density
     areas = np.array([weighted_area(s, phi) for s in fol.slices])
     rate = np.gradient(areas, np.asarray(fol.times), edge_order=2)
-
-    variation = np.empty(len(fol.slices))
-    for k, emb in enumerate(fol.slices):
-        values = (fol.weighted_H[k].values * np.exp(emb.sample(phi))
-                  * fol.lapse[k].values)
-        variation[k] = integrate(ScalarField(emb.slice_grid, values),
-                                 emb.induced_metric)
+    variation = np.array([
+        integrate(ScalarField(emb.slice_grid, wh.values
+                              * np.exp(emb.sample(phi)) * f.values),
+                  emb.induced_volume)
+        for emb, wh, f in zip(fol.slices, fol.weighted_H, fol.lapse)])
     return AreaVariation(np.asarray(fol.times), areas, rate, variation,
                          rate - variation)
 

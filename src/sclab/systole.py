@@ -25,7 +25,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .charts import (PERIODIC, ChartGrid, ScalarField, TensorField,
-                     integrate, node_tuple)
+                     integrate, inverse_and_determinant, node_tuple)
 from .curvature import stabilized_scalar
 from .models import (TWO_PI, flat_torus, sphere_band, sphere_full,
                      torus_surface)
@@ -596,7 +596,9 @@ def equality_certificate(model, resolution: int = 128,
         phi = ScalarField(grid, np.zeros(grid.shape))
         inf_s = float(stabilized_scalar(metric, phi).values.min())
         grid, metric = sphere_full(lat, 32, radius=model.radius)
-        area = integrate(ScalarField(grid, np.ones(grid.shape)), metric)
+        volume = np.sqrt(inverse_and_determinant(metric.values)[1])
+        area = integrate(ScalarField(grid, np.ones(grid.shape)),
+                         ScalarField(grid, volume))
         return _finish(model, inf_s * area, 8.0 * math.pi,
                        "inf S on a latitude band times the quadrature area "
                        "of the round factor; both sides measured")

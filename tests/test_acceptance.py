@@ -20,8 +20,7 @@ import pytest
 
 from helpers import cli_env, constant_metric, dense_principal_eigenvalue
 from sclab.charts import PERIODIC, ScalarField, make_chart, sample_field
-from sclab.curvature import (curvature_bundle, f_functional,
-                             stabilized_scalar, warped_residual)
+from sclab.curvature import curvature_bundle, f_functional, warped_residual
 from sclab.flow import (
     adjoint_supersolution_residual,
     cfl_bound,
@@ -32,7 +31,6 @@ from sclab.flow import (
     profile_cfl_bound,
     profile_scalar_curvature,
     profile_states,
-    ricci_hessian_gap,
     round_profile,
 )
 from sclab.hypersurface import (
@@ -110,7 +108,7 @@ def perturbed_torus_state(res, phi_axis=1):
 
 
 def pointwise_forcing(state):
-    gap = ricci_hessian_gap(state)
+    gap = state.ricci_hessian_gap
     inv = state.bundle.inverse
     return 2.0 * np.einsum("...ia,...jb,...ij,...ab->...",
                            inv, inv, gap, gap, optimize=False)
@@ -122,8 +120,8 @@ def test_01_flat_stationarity():
         phi = ScalarField(grid, np.full(grid.shape, 0.3))
         state = make_flow_state(0.0, metric, phi)
         assert np.abs(state.stabilized.values).max() <= 1e-12
-        assert abs(f_functional(metric, phi,
-                                stabilized_scalar(metric, phi))) <= 1e-10
+        assert abs(f_functional(state.bundle, phi,
+                                state.stabilized)) <= 1e-10
         states = tuple(flow_states(state, 1.0e-3, 10))
         for a, b in zip(states, states[1:]):
             assert np.abs(b.metric.values - a.metric.values).max() <= 1e-12

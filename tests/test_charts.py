@@ -23,6 +23,12 @@ def observed_orders(errors):
     return [np.log2(errors[k] / errors[k + 1]) for k in range(len(errors) - 1)]
 
 
+def volume(metric):
+    """sqrt(det g) of a metric, the density `integrate` weights by."""
+    det = inverse_and_determinant(metric.values)[1]
+    return ScalarField(metric.grid, np.sqrt(det))
+
+
 class TestMakeChart:
     def test_periodic_spacing(self):
         grid = make_chart(2, (32, 64), (1.0, 2.0), PERIODIC)
@@ -59,6 +65,20 @@ class TestMakeChart:
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValueError):
             make_chart(**bad)
+
+    @pytest.mark.parametrize("name,short", [
+        ("resolution", dict(resolution=(16,))),
+        ("extent", dict(extent=(1.0,))),
+        ("topology", dict(topology=(PERIODIC,))),
+        ("origin", dict(origin=(0.0,))),
+    ])
+    def test_short_axis_argument_names_it(self, name, short):
+        args = dict(dim=2, resolution=(16, 16), extent=(1.0, 1.0),
+                    topology=(PERIODIC, PERIODIC), origin=(0.0, 0.0))
+        args.update(short)
+        with pytest.raises(ValueError,
+                           match=rf"expected 2 {name} entries, got 1"):
+            make_chart(**args)
 
     def test_origin_offsets_coordinates(self):
         grid = make_chart(1, (9,), (2.0,), BOUNDARY, origin=(3.0,))
@@ -282,7 +302,8 @@ class TestIntegrate:
     def test_flat_torus_unit_volume(self):
         grid, metric = flat_torus((32, 32), lengths=(1.0, 1.0))
         one = sample_field(grid, lambda x1, x2: np.ones_like(x1))
-        assert integrate(one, metric) == pytest.approx(1.0, abs=1e-13)
+        assert integrate(one, volume(metric)) == pytest.approx(1.0,
+                                                               abs=1e-13)
 
     def test_boundary_axes_use_trapezoid_weights(self):
         grid = make_chart(2, (9, 17), (1.0, 1.0), BOUNDARY)
@@ -290,30 +311,30 @@ class TestIntegrate:
             grid, lambda x1, x2: np.broadcast_to(np.eye(2), x1.shape + (2, 2)),
             rank=2)
         one = sample_field(grid, lambda x1, x2: np.ones_like(x1))
-        assert integrate(one, metric) == pytest.approx(1.0, abs=1e-13)
+        assert integrate(one, volume(metric)) == pytest.approx(1.0,
+                                                               abs=1e-13)
 
     def test_sphere_area(self):
         # closed-form area of the unit sphere
         grid, metric = sphere_full(65, 128)
         one = sample_field(grid, lambda t, p: np.ones_like(t))
-        area = integrate(one, metric)
+        area = integrate(one, volume(metric))
         assert abs(area - 4.0 * np.pi) / (4.0 * np.pi) < 1e-3
 
-    def test_non_positive_determinant_aborts(self):
-        grid = circle(8)
-        vals = np.ones(8).reshape(8, 1, 1)
-        vals[3, 0, 0] = 0.0
-        metric = TensorField(grid, 2, vals)
-        one = sample_field(grid, np.ones_like)
-        with pytest.raises(ValueError, match=r"node \(3,\)"):
-            integrate(one, metric)
+    def test_rejects_a_volume_on_another_grid(self):
+        grid, metric = flat_torus((16, 16))
+        _, other_metric = flat_torus((16, 24))
+        one = sample_field(grid, lambda x1, x2: np.ones_like(x1))
+        with pytest.raises(ValueError, match="different grids"):
+            integrate(one, volume(other_metric))
 
     def test_bit_identical_across_memory_layouts(self):
         rng = np.random.default_rng(7)
         grid, metric = flat_torus((32, 48))
         vals = rng.normal(size=grid.shape)
-        a = integrate(ScalarField(grid, vals), metric)
-        b = integrate(ScalarField(grid, np.asfortranarray(vals)), metric)
+        a = integrate(ScalarField(grid, vals), volume(metric))
+        b = integrate(ScalarField(grid, np.asfortranarray(vals)),
+                      volume(metric))
         assert a == b
 
     def test_tree_sum_matches_math_sum(self):
@@ -501,4 +522,19 @@ class TestSnapshot:
         with pytest.raises(ValueError, match=rf"state\.snap: snapshot is "
                                              rf"truncated: expected .*"
                                              rf"{expected}"):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("record,short", [
+        ("extent", "extent 1"), ("topology", "topology periodic")])
+    def test_short_axis_record_names_it(self, tmp_path, record, short):
+        grid = make_chart(2, (8, 12), (1.0, TWO_PI), PERIODIC)
+        path = tmp_path / "state.snap"
+        write_snapshot(path, grid, {})
+        lines = path.read_text().split("\n")
+        at = next(k for k, line in enumerate(lines)
+                  if line.startswith(record + " "))
+        lines[at] = short
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError,
+                           match=rf"expected 2 {record} entries, got 1"):
             read_snapshot(path)

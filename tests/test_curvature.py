@@ -115,6 +115,22 @@ class TestCurvatureBundle:
         with pytest.raises(ValueError, match="symmetr"):
             curvature_bundle(TensorField(grid, 2, values))
 
+    def test_non_positive_determinant_aborts(self):
+        # the bundle's one inversion is where its volume density comes
+        # from, so a degenerate node stops the bundle, not an integral
+        grid, metric = circle_metric(8)
+        vals = metric.values.copy()
+        vals[3, 0, 0] = 0.0
+        with pytest.raises(ValueError, match=r"node \(3,\)"):
+            curvature_bundle(TensorField(grid, 2, vals))
+
+    def test_volume_is_the_root_determinant(self):
+        grid, metric = sphere_full(17, 16)
+        det = inverse_and_determinant(metric.values)[1]
+        volume = curvature_bundle(metric).volume
+        assert volume.grid == grid
+        assert (volume.values == np.sqrt(det)).all()
+
     def test_rejects_indefinite_metric(self):
         grid, metric = flat_torus((8, 8))
         values = metric.values.copy()
@@ -267,17 +283,24 @@ class TestStabilizedScalar:
         assert np.max(np.abs(gap)) < 1e-12
 
 
+def f_of(metric, phi):
+    """F of (metric, phi) through the metric's own bundle."""
+    bundle = curvature_bundle(metric)
+    return f_functional(bundle, phi,
+                        stabilized_scalar(metric, phi, bundle=bundle))
+
+
 class TestFFunctional:
     def test_flat_zero_potential_is_zero(self):
         grid, metric = flat_torus((16, 16))
         phi = sample_field(grid, lambda x1, x2: np.zeros_like(x1))
-        assert f_functional(metric, phi, stabilized_scalar(metric, phi)) == 0.0
+        assert f_of(metric, phi) == 0.0
 
     def test_sphere_matches_total_curvature(self):
         # F(g, 0) = int R dA = 8 pi on the unit sphere
         grid, metric = sphere_full(65, 128)
         phi = sample_field(grid, lambda th, ph: np.zeros_like(th))
-        value = f_functional(metric, phi, stabilized_scalar(metric, phi))
+        value = f_of(metric, phi)
         assert abs(value - 8 * np.pi) / (8 * np.pi) < 1e-2
 
     def test_flat_metric_dirichlet_route(self):
@@ -290,8 +313,9 @@ class TestFFunctional:
             d1 = diff_array(phi.values, grid, 0, 1)
             d2 = diff_array(phi.values, grid, 1, 1)
             dirichlet = ScalarField(grid, (d1**2 + d2**2) * np.exp(phi.values))
-            value = f_functional(metric, phi, stabilized_scalar(metric, phi))
-            gaps.append(abs(value - integrate(dirichlet, metric)))
+            value = f_of(metric, phi)
+            gaps.append(abs(value - integrate(
+                dirichlet, curvature_bundle(metric).volume)))
         assert gaps[-1] < 5e-3
         assert min(observed_orders(gaps)) > 1.8
 
@@ -303,7 +327,7 @@ class TestFFunctional:
     def test_nonnegative_on_flat_metrics(self, a, b):
         grid, metric = flat_torus((32, 32))
         phi = sample_field(grid, lambda x1, x2: a * np.sin(x1) + b * np.cos(x2))
-        value = f_functional(metric, phi, stabilized_scalar(metric, phi))
+        value = f_of(metric, phi)
         assert value >= -1e-9 * (1 + a * a + b * b)
 
 

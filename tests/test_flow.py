@@ -13,12 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dense_tensor_norm_sq, random_spd_metric
-from sclab import flow
-from sclab.charts import PERIODIC, ScalarField, diff_array, make_chart
+from sclab import charts, curvature, flow
+from sclab.charts import (PERIODIC, ScalarField, diff_array,
+                          inverse_and_determinant, make_chart, tree_sum)
 from sclab.flow import (
     SphereProfile,
     adjoint_supersolution_residual,
     cfl_bound,
+    chart_measures,
     evolution_identity_residual,
     flow_states,
     make_flow_state,
@@ -28,7 +30,6 @@ from sclab.flow import (
     profile_laplacian,
     profile_scalar_curvature,
     profile_states,
-    ricci_hessian_gap,
     round_profile,
     step_coupled_flow,
     step_profile_flow,
@@ -335,7 +336,7 @@ class TestEvolutionIdentity:
 
     def test_forcing_is_pointwise_nonnegative(self):
         state = perturbed_torus_state(24, phi_axis=1)
-        gap = ricci_hessian_gap(state)
+        gap = state.ricci_hessian_gap
         inv = state.bundle.inverse
         forcing = 2.0 * np.einsum("...ia,...jb,...ij,...ab->...",
                                   inv, inv, gap, gap, optimize=False)
@@ -406,6 +407,37 @@ class TestMonotonicity:
             expect = np.abs(evolution_identity_residual(
                 *states[k - 1:k + 2], 1.0e-3)).max()
             assert rep.identity_residuals[k] == expect
+
+    def test_f_matches_the_inversion_route_bit_for_bit(self):
+        # F reads the bundle's volume; rebuilt here the way integrate
+        # used to take it, from a second inversion of the metric
+        state = perturbed_torus_state(16, phi_axis=1)
+        det = inverse_and_determinant(state.metric.values)[1]
+        want = tree_sum(state.stabilized.values * np.exp(state.phi.values)
+                        * np.sqrt(det) * state.metric.grid.cell_weights())
+        assert chart_measures(state)[1] == want
+
+    def test_one_inversion_per_state(self, monkeypatch):
+        # the bundle's one inversion gives the inverse and the volume;
+        # neither the measures nor the identity residual invert again
+        calls = []
+
+        def counted(g):
+            calls.append(g.shape)
+            return inverse_and_determinant(g)
+
+        state = perturbed_torus_state(16, phi_axis=1)
+        for module in (charts, curvature):
+            monkeypatch.setattr(module, "inverse_and_determinant", counted)
+        monotonicity_report(flow_states(state, 1.0e-3, 3), 1.0e-3)
+        assert len(calls) == 3
+
+    def test_ricci_hessian_gap_is_computed_once(self):
+        state = perturbed_torus_state(16, phi_axis=1)
+        gap = state.ricci_hessian_gap
+        assert gap is state.ricci_hessian_gap
+        assert (gap == state.bundle.ricci.values
+                - state.potential.hessian.values).all()
 
 
 class TestAdjointResidual:

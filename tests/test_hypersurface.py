@@ -25,8 +25,10 @@ from sclab.charts import (
     PERIODIC,
     ScalarField,
     TensorField,
+    inverse_and_determinant,
     make_chart,
     sample_field,
+    tree_sum,
 )
 from sclab.curvature import curvature_bundle, potential_derivatives
 from sclab.hypersurface import (
@@ -346,6 +348,28 @@ class TestAreaVariation:
             make_graph_foliation(metric, [0.0, 0.1, 0.2],
                                  [mk(0.0), mk(0.1), mk(0.2)], zeros_on(grid),
                                  graph_axis=2, orientation=-1)
+
+    def test_matches_the_inversion_route_bit_for_bit(self):
+        # the leaf integrals read the embedding's induced volume; rebuilt
+        # here the way integrate used to take it, from a second
+        # inversion of the induced metric
+        grid, metric = perturbed_shell(17, 16, 17)
+        phi = sample_field(grid, lambda t, p, r: 0.3 * r * r)
+        times = (0.95, 1.0, 1.05)
+        heights = [lambda t, p, c=c: c + 0.02 * np.sin(p) * np.cos(t)
+                   for c in times]
+        fol = make_graph_foliation(metric, times, heights, phi, graph_axis=2)
+        var = weighted_area_variation(fol)
+        for k, emb in enumerate(fol.slices):
+            root = np.sqrt(
+                inverse_and_determinant(emb.induced_metric.values)[1])
+            assert (emb.induced_volume.values == root).all()
+            cells = emb.slice_grid.cell_weights()
+            density = np.exp(emb.sample(phi))
+            area = tree_sum(density * root * cells)
+            assert weighted_area(emb, phi) == area == var.area[k]
+            flux = fol.weighted_H[k].values * density * fol.lapse[k].values
+            assert var.variation[k] == tree_sum(flux * root * cells)
 
 
 def perturbed_shell(lat, lon, rad):

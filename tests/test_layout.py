@@ -2,8 +2,11 @@
 names, only charts runs stencil loops, inverts a metric or builds a
 grid, only charts (snapshots) and cli (job outputs) write files, only
 cli decides when a snapshot is written, spectral embeds no graph
-and builds no curvature bundle of its own, and systole writes its cover
-graph straight into CSR arrays and searches it from one place.
+and builds no curvature bundle of its own, systole writes its cover
+graph straight into CSR arrays and searches it from one place, and no
+integral inverts a metric: `integrate`, `f_functional`, `weighted_area`
+and `weighted_area_variation` read the volume density its metric's
+owner kept from the one inversion it made.
 
 Every file under src/sclab is parsed with ast; a relative import of a
 name with a leading underscore, a call of `diff_array`,
@@ -13,7 +16,9 @@ name with a leading underscore, a call of `diff_array`,
 `curvature_bundle` in spectral.py, or a COO build in systole.py, is
 reported with its file and line.  systole.py must hold exactly one
 `dijkstra` call site and one `csr_matrix(...)` call: one cover, on
-reduced costs, searched by one blocked routine in both passes.
+reduced costs, searched by one blocked routine in both passes.  A call
+of `inverse_and_determinant` inside the body of one of the integrals is
+reported the same way.
 """
 
 import ast
@@ -316,3 +321,52 @@ def test_coo_detector_names_file_and_line(tmp_path):
         "sample.py:3: tocsr(...)",
         "sample.py:4: csr_matrix((data, (rows, cols)))",
         "sample.py:5: csr_matrix((data, (rows, cols)))"]
+
+
+INTEGRALS = ("integrate", "f_functional", "weighted_area",
+             "weighted_area_variation")
+
+
+def integral_inversions(path: Path) -> tuple:
+    """The INTEGRALS defined in a file, and `file:line: name inverts
+    (...)` for each `inverse_and_determinant` call in one's body."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined, found = set(), []
+    for fn in ast.walk(tree):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in INTEGRALS):
+            continue
+        defined.add(fn.name)
+        found += [(node.lineno, fn.name) for node in ast.walk(fn)
+                  if isinstance(node, ast.Call) and ast.unparse(
+                      node.func).split(".")[-1] == "inverse_and_determinant"]
+    return defined, [f"{path.name}:{line}: {name} inverts (...)"
+                     for line, name in sorted(found)]
+
+
+def test_integrals_read_held_volumes():
+    # the bundle and the leaf embedding keep sqrt(det g) from the
+    # inversion they make anyway; an integral that inverts again does
+    # that work twice per flow state or leaf
+    defined, found = set(), []
+    for path in sorted(SOURCE.glob("*.py")):
+        names, lines = integral_inversions(path)
+        defined |= names
+        found += lines
+    assert defined == set(INTEGRALS)
+    assert not found, "an integral inverts a metric:\n" + "\n".join(found)
+
+
+def test_integral_detector_names_file_and_line(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("def integrate(field, metric):\n"
+                      "    det = inverse_and_determinant(metric)[1]\n"
+                      "    return det\n"
+                      "def weighted_area(emb, phi):\n"
+                      "    return integrate(emb, charts.inverse_and_"
+                      "determinant(\n        g))\n"
+                      "def embed_graph(metric):\n"
+                      "    return inverse_and_determinant(metric)\n")
+    assert integral_inversions(sample) == (
+        {"integrate", "weighted_area"},
+        ["sample.py:2: integrate inverts (...)",
+         "sample.py:5: weighted_area inverts (...)"])
