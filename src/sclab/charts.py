@@ -483,7 +483,10 @@ def read_snapshot(path) -> tuple[ChartGrid, dict]:
     extent = tuple(float(x) for x in record("extent").split())
     topology = tuple(record("topology").split())
     origin = tuple(float(x) for x in record("origin").split())
-    grid = make_chart(dim, resolution, extent, topology, origin=origin)
+    try:
+        grid = make_chart(dim, resolution, extent, topology, origin=origin)
+    except ValueError as exc:
+        raise ValueError(f"{path}: snapshot: {exc}") from None
     nfields = int(record("fields"))
     fields = {}
     for _ in range(nfields):

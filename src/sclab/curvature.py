@@ -48,11 +48,17 @@ def curvature_bundle(metric: TensorField) -> CurvatureBundle:
     lowered products stay tame, and this form keeps the error bounded
     there instead of amplifying it by inverse metric factors.
 
-    No dense d^4 array is built: second derivatives are kept per
-    unordered axis pair and Riemann per independent i < k, l < m block.
-    Ric_km = g^{il} R_iklm is summed over i, then l, from zero, the
-    order a generic einsum over the dense Riemann array uses, so the
-    result matches that contraction bit for bit; keep the order.
+    Assembly is component-major: G[i, j], I[k, l], DG[i, j, a], gamma[k,
+    i, j] (`christoffel` is its node-indexed view), each i < k, l < m
+    Riemann block and Ric[k, m] are one contiguous grid-shaped array
+    each; a lowered bracket d_i g_lj + d_j g_il - d_l g_ij is formed
+    once per (i, j). DG goes once Gamma is built; d2g (per unordered
+    axis pair, no d^4 array) and G after the Riemann loop. Gamma sums
+    over l and Ric_km = g^{il} R_iklm over i then l, from zero; Riemann
+    adds its products over n then p: a generic einsum's order over the
+    dense arrays, so all match it bit for bit; keep the order. Ricci
+    goes node-major and contiguous before R's einsum: nditer reorders
+    strided sums.
     """
     grid = metric.grid
     d = grid.dim
@@ -62,24 +68,25 @@ def curvature_bundle(metric: TensorField) -> CurvatureBundle:
         raise ValueError(f"metric is not symmetric (gap {sym_gap:.3e})")
     inv, det = inverse_and_determinant(g)
 
-    # dg[..., i, j, a] = d_a g_{ij}; d2g[k, l][..., i, j] = d_k d_l g_{ij}
-    dg, d2g = gradient_and_hessian(g, grid)
-
-    gamma = np.zeros(grid.shape + (d, d, d))
-    for k in range(d):
-        for i in range(d):
-            for j in range(i, d):
-                acc = np.zeros(grid.shape)
+    # DG[i, j, a] = d_a g_{ij}; d2g[k, l][..., i, j] = d_k d_l g_{ij}
+    DG, d2g = gradient_and_hessian(g, grid)
+    DG, I = _component_major(DG, 3), _component_major(inv, 2)
+    gamma = np.zeros((d, d, d) + grid.shape)
+    for i in range(d):
+        for j in range(i, d):
+            bracket = [DG[l, j, i] + DG[i, l, j] - DG[i, j, l]
+                       for l in range(d)]
+            for k in range(d):
+                acc = gamma[k, i, j]
                 for l in range(d):
-                    acc += inv[..., k, l] * (dg[..., l, j, i]
-                                             + dg[..., i, l, j]
-                                             - dg[..., i, j, l])
-                gamma[..., k, i, j] = 0.5 * acc
-                if j > i:
-                    gamma[..., k, j, i] = gamma[..., k, i, j]
+                    acc += I[k, l] * bracket[l]
+                acc *= 0.5
+                gamma[k, j, i] = acc
+    del DG, bracket
 
     # R_{iklm}, antisymmetric in (i, k) and in (l, m): only the i < k,
     # l < m blocks are assembled; the others follow by sign.
+    G = _component_major(g, 2)
     riemann = {}
     for i in range(d):
         for k in range(i + 1, d):
@@ -90,36 +97,34 @@ def curvature_bundle(metric: TensorField) -> CurvatureBundle:
                                   - d2g[i, l][..., k, m])
                     for n in range(d):
                         for p in range(d):
-                            comp += g[..., n, p] * (
-                                gamma[..., n, k, l] * gamma[..., p, i, m]
-                                - gamma[..., n, k, m] * gamma[..., p, i, l])
+                            comp += G[n, p] * (
+                                gamma[n, k, l] * gamma[p, i, m]
+                                - gamma[n, k, m] * gamma[p, i, l])
                     riemann[i, k, l, m] = comp
+    del d2g, G
 
-    ric = np.zeros(grid.shape + (d, d))
-    for k in range(d):
-        for m in range(d):
-            acc = np.zeros(grid.shape)
-            for i in range(d):
-                for l in range(d):
-                    # R_{iklm} vanishes for i == k or l == m; adding the
-                    # zero product to an accumulator that starts at +0
-                    # changes no bit
-                    if i == k or l == m:
-                        continue
-                    block = riemann[min(i, k), max(i, k), min(l, m),
-                                    max(l, m)]
-                    if (i < k) == (l < m):
-                        acc += inv[..., i, l] * block
-                    else:
-                        acc -= inv[..., i, l] * block
-            ric[..., k, m] = acc
-    ric = 0.5 * (ric + np.swapaxes(ric, -1, -2))
+    # R_{iklm} vanishes for i == k or l == m; skipping its zero product
+    # changes no bit of an accumulator that starts at +0
+    ric = np.zeros((d, d) + grid.shape)
+    for k, m, i, l in np.ndindex(d, d, d, d):
+        if i != k and l != m:
+            block = riemann[min(i, k), max(i, k), min(l, m), max(l, m)]
+            (np.add if (i < k) == (l < m) else np.subtract)(
+                ric[k, m], I[i, l] * block, out=ric[k, m])
+    ric = np.ascontiguousarray(np.moveaxis(
+        0.5 * (ric + np.swapaxes(ric, 0, 1)), (0, 1), (-2, -1)))
 
     scal = np.einsum("...ij,...ij->...", inv, ric, optimize=False)
     return CurvatureBundle(grid, metric, inv,
-                           ScalarField(grid, np.sqrt(det)), gamma,
+                           ScalarField(grid, np.sqrt(det)),
+                           np.moveaxis(gamma, (0, 1, 2), (-3, -2, -1)),
                            TensorField(grid, 2, ric),
                            ScalarField(grid, scal))
+
+
+def _component_major(a: np.ndarray, rank: int) -> np.ndarray:
+    """Trailing component axes moved first, as one contiguous array."""
+    return np.ascontiguousarray(np.moveaxis(a, range(-rank, 0), range(rank)))
 
 
 @dataclass(frozen=True)
@@ -221,18 +226,15 @@ def warped_residual(metric: TensorField, phi: ScalarField,
 
     d = base.dim
     dp = prod.dim
-    fiber_shape = (FIBER_RES,) * fiber_count
+    lift = base.shape + (1,) * fiber_count   # constant along the fibers
     warp = np.exp(2.0 * phi.values / fiber_count)
     vals = np.zeros(prod.shape + (dp, dp))
-    for i in range(d):
-        for j in range(d):
-            vals[..., i, j] = _lift(metric.values[..., i, j], fiber_shape)
+    vals[..., :d, :d] = metric.values.reshape(lift + (d, d))
     for a in range(d, dp):
-        vals[..., a, a] = _lift(warp, fiber_shape)
+        vals[..., a, a] = warp.reshape(lift)
     prod_scal = curvature_bundle(TensorField(prod, 2, vals)).scalar.values
 
-    spread = float(np.max(prod_scal.reshape(base.shape + (-1,)).max(axis=-1)
-                          - prod_scal.reshape(base.shape + (-1,)).min(axis=-1)))
+    spread = float(np.ptp(prod_scal.reshape(base.shape + (-1,)), -1).max())
     if spread > FIBER_SPREAD_TOL:
         raise ValueError(f"fiber-direction spread {spread:.3e} exceeds "
                          f"{FIBER_SPREAD_TOL:.1e}; product assembly is "
@@ -246,8 +248,3 @@ def warped_residual(metric: TensorField, phi: ScalarField,
     base_scal = prod_scal[(...,) + (0,) * fiber_count]
     return WarpedResidual(ScalarField(base, base_scal - formula), spread)
 
-
-def _lift(values: np.ndarray, fiber_shape: tuple[int, ...]) -> np.ndarray:
-    """Extend a base-grid array constantly along trailing fiber axes."""
-    expanded = values.reshape(values.shape + (1,) * len(fiber_shape))
-    return np.broadcast_to(expanded, values.shape + fiber_shape)

@@ -252,13 +252,15 @@ def box_bundle_foliation(metric: TensorField, times, heights,
         tuple(weighted), phi, potential)
 
 
-def dense_ricci_scalar(metric: TensorField) -> tuple:
-    """(Ric, R) through a dense Riemann array and a generic einsum.
+def dense_curvature(metric: TensorField) -> tuple:
+    """(Gamma, Ric, R) through node-major arrays, a dense Riemann array
+    and a generic einsum.
 
     The reference for curvature_bundle, which assembles the same
-    components blockwise and contracts them in component loops: both
-    must agree bit for bit.  What is checked is that contraction order,
-    so both sides take g^{-1} from the one charts kernel.
+    components blockwise and component-major and contracts them in
+    component loops: all three must agree bit for bit.  What is checked
+    is that operand and contraction order, so both sides take g^{-1}
+    from the one charts kernel.
     """
     grid = metric.grid
     d = grid.dim
@@ -305,7 +307,7 @@ def dense_ricci_scalar(metric: TensorField) -> tuple:
     ric = np.einsum("...il,...iklm->...km", inv, riemann, optimize=False)
     ric = 0.5 * (ric + np.swapaxes(ric, -1, -2))
     scal = np.einsum("...ij,...ij->...", inv, ric, optimize=False)
-    return ric, scal
+    return gamma, ric, scal
 
 
 def reference_weighted_mean_curvature(emb, phi: ScalarField) -> np.ndarray:

@@ -536,5 +536,6 @@ class TestSnapshot:
         lines[at] = short
         path.write_text("\n".join(lines))
         with pytest.raises(ValueError,
-                           match=rf"expected 2 {record} entries, got 1"):
+                           match=rf"state\.snap: snapshot: expected 2 "
+                                 rf"{record} entries, got 1"):
             read_snapshot(path)
