@@ -389,20 +389,27 @@ def inverse_and_determinant(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The leading principal minors are tested from order 1 up, the last
     being the determinant itself; the first node where one is not
-    positive raises ValueError naming that node and the order.
+    positive raises ValueError naming that node and the order.  Those
+    below order d are written out: one adjugate, the whole block's.
     """
-    for k in range(1, g.shape[-1] + 1):
-        adj = _adjugate(g[..., :k, :k])
-        det = g[..., 0, 0] * adj[..., 0, 0]
-        for j in range(1, k):
-            det += g[..., 0, j] * adj[..., j, 0]
-        bad = ~(det > 0.0)
+    d = g.shape[-1]
+    for k in range(1, d + 1):
+        if k == d:
+            adj = _adjugate(g)
+            minor = g[..., 0, 0] * adj[..., 0, 0]
+            for j in range(1, d):
+                minor += g[..., 0, j] * adj[..., j, 0]
+        elif k == 1:
+            minor = g[..., 0, 0]
+        else:   # order 2 of a 3x3 block
+            minor = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+        bad = ~(minor > 0.0)
         if bad.any():
-            node = node_tuple(np.argmax(bad), det.shape)
+            node = node_tuple(np.argmax(bad), minor.shape)
             raise ValueError(f"metric is not positive definite at node {node} "
-                             f"(order-{k} leading minor {det[node]:.3e})")
-    adj /= det[..., None, None]
-    return adj, det
+                             f"(order-{k} leading minor {minor[node]:.3e})")
+    adj /= minor[..., None, None]
+    return adj, minor
 
 
 def _adjugate(m: np.ndarray) -> np.ndarray:

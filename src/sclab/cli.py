@@ -92,8 +92,8 @@ _POSITIVE = _ruled(_float, lambda x: x > 0.0, "must be positive")
 _COUNT = _ruled(_int, lambda n: n >= 1, "must be at least 1")
 _NONNEGATIVE = _ruled(_int, lambda n: n >= 0, "must be nonnegative")
 _CONNECTIVITY = _ruled(_int, lambda n: n in (4, 8, 16), "must be 4, 8 or 16")
-_RES_ORDER = _ruled(_res_list, lambda res: len(res) >= 2,
-                    "needs at least two resolutions to measure an order")
+_RES_ORDER = _ruled(_res_list, lambda res: len(set(res)) == len(res) >= 2,
+                    "needs at least two distinct resolutions for an order")
 _LENGTHS = _ruled(lambda text: tuple(map(_float, text.split(","))),
                   lambda ls: len(ls) <= 3 and all(l > 0.0 for l in ls),
                   "takes 1 to 3 positive entries")

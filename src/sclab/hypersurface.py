@@ -504,15 +504,15 @@ class CoordinateFace:
     mean_curvature: np.ndarray
 
 
-def _coordinate_face(metric: np.ndarray, christoffel: np.ndarray, axis: int,
+def _coordinate_face(metric: np.ndarray, inverse: np.ndarray,
+                     christoffel: np.ndarray, axis: int,
                      side: int) -> CoordinateFace:
     """The face through the first (side 0) or last (side 1) row of an
-    axis, from g and Gamma at points of it: N_axis = +-1/sqrt(g^{axis
-    axis}), h_bc = -N_axis Gamma^axis_bc, H = (g|face)^{bc} h_bc, which
-    is embed_graph's constant graph (no height derivatives)."""
+    axis, from g, the caller's g^-1 and Gamma at points of it: N_axis =
+    +-1/sqrt(g^{axis axis}), h_bc = -N_axis Gamma^axis_bc, H = (g|face)^{bc}
+    h_bc, which is embed_graph's constant graph (no height derivatives)."""
     face = [i for i in range(metric.shape[-1]) if i != axis]
-    n_axis = (1.0 if side else -1.0) / np.sqrt(
-        inverse_and_determinant(metric)[0][..., axis, axis])
+    n_axis = (1.0 if side else -1.0) / np.sqrt(inverse[..., axis, axis])
     co = np.zeros(metric.shape[:-1])
     co[..., axis] = n_axis
     second = -(n_axis[..., None, None]
@@ -525,17 +525,19 @@ def _coordinate_face(metric: np.ndarray, christoffel: np.ndarray, axis: int,
 def chart_wall(emb: HypersurfaceEmbedding, axis: int,
                side: int) -> CoordinateFace:
     """The chart wall through one boundary face of the slice grid, read
-    in closed form where the hypersurface meets it: g and Gamma on the
-    wall's node row of the ambient bundle, sampled at the contact
-    heights."""
+    in closed form where the hypersurface meets it: g (the wall's own,
+    inverted here) and Gamma on the wall's node row of the ambient
+    bundle, sampled at the contact heights."""
     amb_axis = axis + (axis >= emb.graph_axis)    # slice axis -> ambient
     row = -1 if side else 0
     axis_in_wall = emb.graph_axis - (1 if amb_axis < emb.graph_axis else 0)
     sampler = _make_sampler(emb.ambient_grid.drop_axis(amb_axis),
                             axis_in_wall,
                             np.take(emb.graph_height.values, row, axis=axis))
+    metric = sampler.take(np.take(emb.ambient_metric.values, row,
+                                  axis=amb_axis))
     return _coordinate_face(
-        sampler.take(np.take(emb.ambient_metric.values, row, axis=amb_axis)),
+        metric, inverse_and_determinant(metric)[0],
         sampler.take(np.take(emb.ambient_bundle.christoffel, row,
                              axis=amb_axis)),
         amb_axis, side)
@@ -558,9 +560,9 @@ def boundary_trace_identity(emb: HypersurfaceEmbedding,
     for the weight rho = e^phi.
 
     Face curvatures are read in closed form with outward normals: the
-    face inside the hypersurface from the induced metric's Christoffel
-    symbols on its row, and the matching chart wall inside the ambient
-    manifold from `chart_wall`.
+    face inside the hypersurface from the induced metric, its held
+    inverse and its Christoffel symbols on its row, and the matching
+    chart wall inside the ambient manifold from `chart_wall`.
     """
     if not emb.boundary_normal:
         raise ValueError("hypersurface has no boundary faces")
@@ -576,6 +578,7 @@ def boundary_trace_identity(emb: HypersurfaceEmbedding,
         row = -1 if side else 0
         h_face = _coordinate_face(
             np.take(emb.induced_metric.values, row, axis=a),
+            np.take(emb.induced_inverse, row, axis=a),
             np.take(emb.intrinsic.christoffel, row, axis=a), a,
             side).mean_curvature
         h_wall = chart_wall(emb, a, side).mean_curvature

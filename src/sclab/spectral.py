@@ -27,7 +27,6 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
 
 from .charts import (
-    BOUNDARY,
     PERIODIC,
     ChartGrid,
     ScalarField,
@@ -35,7 +34,6 @@ from .charts import (
     derivative_matrix,
     gradient,
     gradient_and_hessian,
-    inverse_and_determinant,
     node_tuple,
     restrict,
     tree_sum,
@@ -65,30 +63,21 @@ class SpectralProblem:
     robin: dict
 
 
-def assemble_drift_operator(grid: ChartGrid, metric: TensorField,
-                            weight: ScalarField, potential: np.ndarray,
+def assemble_drift_operator(grid: ChartGrid, inverse: np.ndarray,
+                            density: ScalarField, potential: np.ndarray,
                             robin: dict) -> SpectralProblem:
-    """Assemble the weighted operator from explicit coefficient data.
+    """Assemble the weighted operator from g^{ab} and rho sqrt(g) per node.
 
     robin must provide an entry (axis, side) for every boundary face of
     the grid; values are per-face arrays (or scalars) of the Robin
     datum b in <grad u, eta> = b u, eta outward.
     """
-    if np.any(weight.values <= 0.0):
-        raise ValueError("weight must be positive everywhere")
+    if np.any(density.values <= 0.0):
+        raise ValueError("density must be positive everywhere")
     d = grid.dim
-    inv, det = inverse_and_determinant(metric.values)
-    dens = weight.values * np.sqrt(det)        # rho sqrt(g) per node
+    inv, dens = inverse, density.values
     cellw = grid.cell_weights()
     mass = (dens * cellw).reshape(-1)
-
-    for a in range(d):
-        if grid.topology[a] == BOUNDARY:
-            for side in (0, 1):
-                if (a, side) not in robin:
-                    raise ValueError(
-                        f"missing Robin data for boundary face "
-                        f"(axis {a}, side {side})")
 
     n_total = grid.node_count
     idx = np.arange(n_total).reshape(grid.shape)
@@ -113,36 +102,35 @@ def assemble_drift_operator(grid: ChartGrid, metric: TensorField,
         # the diagonal is accumulated per axis before insertion so the
         # trivial-coefficient case reproduces 2/h^2 exactly
         if grid.topology[axis] == PERIODIC:
-            up = np.roll(np.arange(n), -1)
-            dn = np.roll(np.arange(n), 1)
-            k_up = 0.5 * (kappa + kappa[at(up)])     # edge i, i+1
-            k_dn = k_up[at(dn)]
-            couple(idx, idx, (k_up + k_dn) / dens / (h * h))
-            couple(idx, idx[at(up)], -(k_up / dens / (h * h)))
-            couple(idx, idx[at(dn)], -(k_dn / dens / (h * h)))
+            mid, up, dn = (at(slice(None)), at(np.roll(np.arange(n), -1)),
+                           at(np.roll(np.arange(n), 1)))
+            k_up = 0.5 * (kappa + kappa[up])     # edge i, i+1
+            k_dn = k_up[dn]
         else:
             k_edge = 0.5 * (kappa[at(slice(0, n - 1))]
                             + kappa[at(slice(1, n))])
-            mid = at(slice(1, n - 1))
-            k_up = k_edge[at(slice(1, n - 1))]
-            k_dn = k_edge[at(slice(0, n - 2))]
-            couple(idx[mid], idx[mid], (k_up + k_dn) / dens[mid] / (h * h))
-            couple(idx[mid], idx[at(slice(2, n))],
-                   -(k_up / dens[mid] / (h * h)))
-            couple(idx[mid], idx[at(slice(0, n - 2))],
-                   -(k_dn / dens[mid] / (h * h)))
+            mid, up, dn = (at(slice(1, n - 1)), at(slice(2, n)),
+                           at(slice(0, n - 2)))
+            k_up, k_dn = k_edge[mid], k_edge[dn]
+        couple(idx[mid], idx[mid], (k_up + k_dn) / dens[mid] / (h * h))
+        couple(idx[mid], idx[up], -(k_up / dens[mid] / (h * h)))
+        couple(idx[mid], idx[dn], -(k_dn / dens[mid] / (h * h)))
+        if grid.topology[axis] == PERIODIC:
+            continue
 
-            # half-cell closure: interior flux plus the Robin wall flux
-            for side, row, inner_row, edge_row in ((0, 0, 1, 0),
-                                                   (1, n - 1, n - 2, n - 2)):
-                b = np.broadcast_to(
-                    np.asarray(robin[(axis, side)], dtype=float),
-                    idx[at(row)].shape)
-                coeff = 2.0 * k_edge[at(edge_row)] / dens[at(row)] / (h * h)
-                couple(idx[at(row)], idx[at(row)], coeff)
-                couple(idx[at(row)], idx[at(inner_row)], -coeff)
-                wall = -2.0 * np.sqrt(inv[at(row)][..., axis, axis]) * b / h
-                couple(idx[at(row)], idx[at(row)], wall)
+        # half-cell closure: interior flux plus the Robin wall flux
+        for side, row, inner_row, edge_row in ((0, 0, 1, 0),
+                                               (1, n - 1, n - 2, n - 2)):
+            if (axis, side) not in robin:
+                raise ValueError(f"missing Robin data for boundary face "
+                                 f"(axis {axis}, side {side})")
+            b = np.broadcast_to(np.asarray(robin[(axis, side)], dtype=float),
+                                idx[at(row)].shape)
+            coeff = 2.0 * k_edge[at(edge_row)] / dens[at(row)] / (h * h)
+            couple(idx[at(row)], idx[at(row)], coeff)
+            couple(idx[at(row)], idx[at(inner_row)], -coeff)
+            wall = -2.0 * np.sqrt(inv[at(row)][..., axis, axis]) * b / h
+            couple(idx[at(row)], idx[at(row)], wall)
 
     operator = sparse.coo_matrix(
         (np.concatenate(vals),
@@ -207,8 +195,8 @@ def _wall_robin_data(emb: HypersurfaceEmbedding, axis: int,
                      nu_wall, nu_wall, optimize=False)
 
 
-def _pointwise_drift_operator(grid: ChartGrid, metric: TensorField,
-                              weight: ScalarField, potential: np.ndarray,
+def _pointwise_drift_operator(grid: ChartGrid, inverse: np.ndarray,
+                              density: ScalarField, potential: np.ndarray,
                               robin: dict, u: np.ndarray) -> tuple:
     """The operator `assemble_drift_operator` assembles, applied to u
     pointwise with the chart stencils, and its Robin residuals.
@@ -220,8 +208,7 @@ def _pointwise_drift_operator(grid: ChartGrid, metric: TensorField,
     <grad u, eta> = +-g^{aj} d_j u / sqrt(g^{aa}) for the outward unit
     conormal eta.  Returns (values, {(axis, side): face residual}).
     """
-    inv, det = inverse_and_determinant(metric.values)
-    dens = weight.values * np.sqrt(det)
+    inv, dens = inverse, density.values
     flux = dens[..., None, None] * inv
     d_flux = gradient(flux, grid)           # [..., a, b, c] = d_c C^{ab}
     du, d2u = gradient_and_hessian(u, grid)
@@ -247,17 +234,17 @@ def _jacobi_coefficients(emb: HypersurfaceEmbedding, weight: np.ndarray,
     slab or chart (hessian), as the leading arguments of both
     `assemble_drift_operator` and `_pointwise_drift_operator`.
 
-    Zeroth order: -ric(nu,nu) - |h|^2 + (D^2 log rho)(nu,nu); first
-    order: the log-rho drift, folded into the weighted divergence; the
-    Robin datum on each chart wall is h_wall(nu, nu).
+    Second order: the held g^{ab} and sqrt(g); zeroth: -ric(nu,nu) - |h|^2
+    + (D^2 log rho)(nu,nu); first: the log-rho drift, folded into the
+    weighted divergence; the Robin datum on each wall is h_wall(nu, nu).
     """
     potential = (-emb.sample_nn(emb.ambient_bundle.ricci)
                  - second_fundamental_norm_sq(emb)
                  + emb.sample_nn(hessian))
     robin = {face: _wall_robin_data(emb, *face)
              for face in emb.boundary_normal}
-    return (emb.slice_grid, emb.induced_metric,
-            ScalarField(emb.slice_grid, weight), potential, robin)
+    density = ScalarField(emb.slice_grid, weight * emb.induced_volume.values)
+    return emb.slice_grid, emb.induced_inverse, density, potential, robin
 
 
 def assemble_jacobi(emb: HypersurfaceEmbedding,

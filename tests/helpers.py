@@ -15,7 +15,7 @@ import scipy.sparse as sparse
 from scipy.sparse.csgraph import dijkstra
 
 import sclab
-from sclab import hypersurface, systole
+from sclab import hypersurface, spectral, systole
 from sclab.curvature import curvature_bundle, potential_derivatives
 from sclab.charts import ChartGrid, ScalarField, TensorField, diff_array, \
     gradient_and_hessian, inverse_and_determinant, node_tuple
@@ -75,6 +75,21 @@ def dense_principal_eigenvalue(problem) -> float:
     k = 0.5 * (k.toarray() + k.toarray().T)
     values = scipy.linalg.eigh(k, np.diag(problem.mass), eigvals_only=True)
     return float(values[0])
+
+
+def drift_coefficients(metric: TensorField, weight: ScalarField) -> tuple:
+    """(g^{-1}, rho sqrt(g)) of an explicit metric and weight, from one
+    inversion: the coefficients a leaf's embedding holds."""
+    inv, det = inverse_and_determinant(metric.values)
+    return inv, ScalarField(metric.grid, weight.values * np.sqrt(det))
+
+
+def drift_problem(grid: ChartGrid, metric: TensorField, weight: ScalarField,
+                  potential, robin: dict):
+    """`spectral.assemble_drift_operator` for an explicit metric and
+    weight instead of held coefficients."""
+    return spectral.assemble_drift_operator(
+        grid, *drift_coefficients(metric, weight), potential, robin)
 
 
 def edge_table(graph) -> dict:

@@ -18,7 +18,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import cli_env, constant_metric, dense_principal_eigenvalue
+from helpers import cli_env, constant_metric, dense_principal_eigenvalue, \
+    drift_problem
 from sclab.charts import PERIODIC, ScalarField, make_chart, sample_field
 from sclab.curvature import curvature_bundle, f_functional, warped_residual
 from sclab.flow import (
@@ -49,7 +50,6 @@ from sclab.models import (
     spherical_shell,
 )
 from sclab.spectral import (
-    assemble_drift_operator,
     assemble_jacobi,
     lapse_residual,
     principal_eigenpair,
@@ -216,7 +216,7 @@ def test_05_jacobi_spectra():
 
         grid = make_chart(1, (128,), (TWO_PI,), PERIODIC)
         s = grid.coords()[0]
-        drift_prob = assemble_drift_operator(
+        drift_prob = drift_problem(
             grid, constant_metric(grid, [[1.0]]),
             ScalarField(grid, np.exp(0.3 * np.sin(s))),
             -1.0 + 0.5 * np.cos(s), {})

@@ -171,6 +171,9 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="^a: amplitude must lie"):
             build_config("systole", "anisotropic-torus",
                          [("amplitude", "1.5", "a")])
+        with pytest.raises(ConfigError,
+                           match="^a: res needs at least two distinct"):
+            build_config("identity", "torus", [("res", "16,32,16", "a")])
 
 
 # (command, geometry, key=value) where the job does not read the key

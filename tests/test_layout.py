@@ -1,8 +1,8 @@
 """Module layout: no sclab module imports another module's private
 names, only charts runs stencil loops, inverts a metric or builds a
 grid, only charts (snapshots) and cli (job outputs) write files, only
-cli decides when a snapshot is written, spectral embeds no graph
-and builds no curvature bundle of its own, systole writes its cover
+cli decides when a snapshot is written, spectral embeds no graph,
+builds no curvature bundle and inverts no metric of its own, systole writes its cover
 graph straight into CSR arrays and searches it from one place, and no
 integral inverts a metric: `integrate`, `f_functional`, `weighted_area`
 and `weighted_area_variation` read the volume density its metric's
@@ -12,8 +12,8 @@ Every file under src/sclab is parsed with ast; a relative import of a
 name with a leading underscore, a call of `diff_array`,
 `np.linalg.inv`, `np.linalg.det` or `ChartGrid` outside charts.py, an
 `open(...)` for writing outside charts.py and cli.py, a call of
-`write_snapshot` outside cli.py, a call of `embed_graph` or
-`curvature_bundle` in spectral.py, or a COO build in systole.py, is
+`write_snapshot` outside cli.py, a call of `embed_graph`,
+`curvature_bundle` or `inverse_and_determinant` in spectral.py, or a COO build in systole.py, is
 reported with its file and line.  systole.py must hold exactly one
 `dijkstra` call site and one `csr_matrix(...)` call: one cover, on
 reduced costs, searched by one blocked routine in both passes.  A call
@@ -244,19 +244,22 @@ def test_snapshot_detector_names_file_and_line(tmp_path):
 
 def leaf_geometry_calls(path: Path) -> list:
     """`file:line: embed_graph(...)` for each graph embedding, and the
-    same for each `curvature_bundle` call."""
+    same for each `curvature_bundle` and `inverse_and_determinant`
+    call."""
     return [f"{path.name}:{line}: {name.split('.')[-1]}(...)"
             for line, name in call_names(path)
-            if name.split(".")[-1] in ("embed_graph", "curvature_bundle")]
+            if name.split(".")[-1] in ("embed_graph", "curvature_bundle",
+                                       "inverse_and_determinant")]
 
 
 def test_spectral_reads_walls_and_bundles_off_the_leaf():
     # chart walls come from hypersurface.chart_wall in closed form, and
-    # the Jacobi operator reads the leaf's own bundle; re-embedding a
-    # wall or re-deriving curvature would redo that work per operator
+    # the Jacobi operator reads the leaf's own bundle, inverse metric
+    # and volume; re-embedding a wall, re-deriving curvature or
+    # re-inverting the induced metric would redo that work per operator
     found = leaf_geometry_calls(SOURCE / "spectral.py")
-    assert not found, "spectral.py embeds a graph or builds a curvature " \
-        "bundle:\n" + "\n".join(found)
+    assert not found, "spectral.py embeds a graph, builds a curvature " \
+        "bundle or inverts a metric:\n" + "\n".join(found)
     assert leaf_geometry_calls(SOURCE / "hypersurface.py")
 
 
@@ -267,10 +270,12 @@ def test_leaf_geometry_detector_names_file_and_line(tmp_path):
                       "b = chart_wall(emb, 0, 1)\n"
                       "c = hypersurface.embed_graph(\n    metric, h)\n"
                       "d = curvature.curvature_bundle(metric)\n"
-                      "e = embed_graph\n")
+                      "e = embed_graph\n"
+                      "f = charts.inverse_and_determinant(g)[0]\n")
     assert leaf_geometry_calls(sample) == [
         "sample.py:2: embed_graph(...)", "sample.py:4: embed_graph(...)",
-        "sample.py:6: curvature_bundle(...)"]
+        "sample.py:6: curvature_bundle(...)",
+        "sample.py:8: inverse_and_determinant(...)"]
 
 
 def coo_builds(path: Path) -> list:

@@ -10,6 +10,7 @@ Oracles, independent of the assembly under test:
 """
 
 import dataclasses
+import traceback
 
 import numpy as np
 import pytest
@@ -19,10 +20,10 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from helpers import box_bundle_foliation, dense_principal_eigenvalue, \
-    patch_every_binding
-from sclab import curvature, spectral
+    drift_coefficients, drift_problem, patch_every_binding
+from sclab import charts, curvature, spectral
 from sclab.charts import (BOUNDARY, PERIODIC, ScalarField, TensorField,
-                          make_chart, sample_field, tree_sum)
+                          make_chart, restrict, sample_field, tree_sum)
 from sclab.hypersurface import (
     boundary_trace_identity,
     embed_graph,
@@ -39,7 +40,6 @@ from sclab.models import (
     spherical_shell,
 )
 from sclab.spectral import (
-    assemble_drift_operator,
     assemble_jacobi,
     lapse_residual,
     principal_eigenpair,
@@ -77,8 +77,8 @@ def annulus_problem(rad_res=33, ang_res=8, r_in=0.5, r_out=1.5):
     metric = _diag_metric(grid, [1.0, 1.0])
     weight = ScalarField(grid, np.ones(grid.shape))
     robin = {(0, 0): -1.0 / r_in, (0, 1): 1.0 / r_out}
-    return grid, assemble_drift_operator(grid, metric, weight,
-                                         np.zeros(grid.shape), robin)
+    return grid, drift_problem(grid, metric, weight, np.zeros(grid.shape),
+                               robin)
 
 
 def circle_problem(res=128, amplitude=0.3, potential=-1.0):
@@ -86,7 +86,7 @@ def circle_problem(res=128, amplitude=0.3, potential=-1.0):
     metric = _diag_metric(grid, [1.0])
     rho = ScalarField(grid, np.exp(amplitude * np.sin(grid.coords()[0])))
     pot = np.broadcast_to(potential, grid.shape).astype(float)
-    return assemble_drift_operator(grid, metric, rho, pot, {})
+    return drift_problem(grid, metric, rho, pot, {})
 
 
 def apply(problem, values):
@@ -174,6 +174,10 @@ class TestAssembly:
         rho = ScalarField(grid, np.zeros(grid.shape))
         with pytest.raises(ValueError, match="positive"):
             assemble_jacobi(emb, rho)
+        zero = ScalarField(emb.slice_grid, np.zeros(emb.slice_grid.shape))
+        with pytest.raises(ValueError, match="density must be positive"):
+            drift_problem(emb.slice_grid, emb.induced_metric, zero,
+                          zero.values, {})
 
     def test_rejects_density_on_wrong_grid(self):
         emb, _ = flat_slice_problem(8)
@@ -187,8 +191,7 @@ class TestAssembly:
         metric = _diag_metric(grid, [1.0, 1.0])
         weight = ScalarField(grid, np.ones(grid.shape))
         with pytest.raises(ValueError, match="missing Robin"):
-            assemble_drift_operator(grid, metric, weight,
-                                    np.zeros(grid.shape), {})
+            drift_problem(grid, metric, weight, np.zeros(grid.shape), {})
 
     def test_mixed_metric_terms_stay_weighted_self_adjoint(self):
         # a non-diagonal metric reaches the variational cross pairs,
@@ -200,7 +203,7 @@ class TestAssembly:
         g[..., 0, 0] = 1.0 + 0.2 * s
         g[..., 1, 1] = s * s
         g[..., 0, 1] = g[..., 1, 0] = 0.1 * s * np.sin(a)
-        prob = assemble_drift_operator(
+        prob = drift_problem(
             grid, TensorField(grid, 2, g),
             ScalarField(grid, np.exp(0.3 * s * np.cos(a))),
             np.zeros(grid.shape), {(0, 0): -1.0, (0, 1): 0.5})
@@ -279,9 +282,8 @@ class TestPrincipalEigenpair:
                               (BOUNDARY, PERIODIC))
             metric = _diag_metric(grid, [1.0, 1.0])
             weight = ScalarField(grid, np.ones(grid.shape))
-            prob = assemble_drift_operator(grid, metric, weight,
-                                           np.zeros(grid.shape),
-                                           {(0, 0): 0.5, (0, 1): 0.5})
+            prob = drift_problem(grid, metric, weight, np.zeros(grid.shape),
+                                 {(0, 0): 0.5, (0, 1): 0.5})
             errs.append(abs(principal_eigenpair(prob).eigenvalue - exact))
         assert errs[0] <= 1e-4
         assert np.log(errs[0] / errs[1]) / np.log(4.0) >= 1.9
@@ -298,8 +300,7 @@ class TestPrincipalEigenpair:
         metric = _diag_metric(grid, [1.0])
         s = grid.coords()[0]
         rho = ScalarField(grid, np.exp(0.3 * np.sin(s)))
-        prob = assemble_drift_operator(grid, metric, rho,
-                                       -1.0 + 0.5 * np.cos(s), {})
+        prob = drift_problem(grid, metric, rho, -1.0 + 0.5 * np.cos(s), {})
         pair = principal_eigenpair(prob)
         assert np.ptp(pair.eigenfunction.values) > 0.1
         assert abs(pair.eigenvalue - dense_principal_eigenvalue(prob)) <= 1e-8
@@ -337,8 +338,7 @@ class TestPrincipalEigenpair:
         grid = make_chart(2, (64, 64), (1.0, 1.0), PERIODIC)
         metric = _diag_metric(grid, [1.0, 1.0])
         weight = ScalarField(grid, np.ones(grid.shape))
-        prob = assemble_drift_operator(grid, metric, weight,
-                                       np.zeros(grid.shape), {})
+        prob = drift_problem(grid, metric, weight, np.zeros(grid.shape), {})
         with pytest.raises(ValueError, match="1024"):
             dense_principal_eigenvalue(prob)
 
@@ -660,3 +660,76 @@ class TestWallContact:
         emb = embed_graph(metric, lambda s, z: ang + 0.1 * z, graph_axis=1)
         prob = assemble_jacobi(emb, ScalarField(grid, np.ones(grid.shape)))
         assert sorted(prob.robin) == [(0, 0), (0, 1)]
+
+
+class TestHeldInverse:
+    """The Jacobi operator, the lapse check and the leaf faces read the
+    inverse and the volume embed_graph keeps from its one inversion."""
+
+    def walled_foliation(self):
+        # constant-radius leaves meet the latitude walls at right angles
+        grid, metric = spherical_shell(17, 16, 33, rel_width=0.3)
+        phi = ScalarField(grid, 0.3 * grid.coords()[2] ** 2)
+        radii = (0.96, 1.0075, 1.04)
+        fol = make_graph_foliation(
+            metric, radii,
+            [lambda t, p, r=r: np.full(t.shape, r) for r in radii], phi,
+            graph_axis=2)
+        return fol, ScalarField(grid, np.exp(phi.values))
+
+    def test_only_chart_walls_invert_their_metrics(self, monkeypatch):
+        # each wall inverts its sampled 3x3 metric and its 2x2 face
+        # block; a leaf face inverts only its own 1x1 length element.
+        # The leaf's intrinsic bundle is its one cached inversion,
+        # shared with the Gauss identity, and is built before counting
+        fol, rho = self.walled_foliation()
+        leaf = fol.slices[1]
+        leaf.intrinsic
+        real, calls = charts.inverse_and_determinant, []
+
+        def counted(g):
+            callers = {frame.name for frame in traceback.extract_stack()}
+            calls.append(("chart_wall" in callers, g.shape[-1]))
+            return real(g)
+
+        patch_every_binding(monkeypatch, real, counted)
+        lapse_residual(fol)
+        assemble_jacobi(leaf, rho)
+        wall = [(True, 3), (True, 2)]
+        assert calls == wall * 2 * (len(fol.slices) + 1)
+        calls.clear()
+        assert len(boundary_trace_identity(leaf, fol.log_density)) == 2
+        assert calls == ([(False, 1)] + wall) * 2
+
+    def test_held_coefficients_equal_the_inversion_route(self):
+        fol, rho = self.walled_foliation()
+        leaf = fol.slices[1]
+        prob = assemble_jacobi(leaf, rho)
+        log_rho = ScalarField(leaf.ambient_grid, np.log(
+            restrict(rho, leaf.ambient_grid)))
+        hessian = curvature.potential_derivatives(leaf.ambient_bundle,
+                                                  log_rho).hessian
+        weight = ScalarField(leaf.slice_grid, leaf.sample(rho))
+        grid, _, _, potential, robin = spectral._jacobi_coefficients(
+            leaf, weight.values, hessian)
+        ref = drift_problem(grid, leaf.induced_metric, weight, potential,
+                            robin)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(prob.operator, part),
+                                  getattr(ref.operator, part))
+        assert np.array_equal(prob.mass, ref.mass)
+
+        check = lapse_residual(fol)
+        for k, emb in enumerate(fol.slices):
+            weight = ScalarField(emb.slice_grid,
+                                 np.exp(emb.sample(fol.log_density)))
+            grid, _, _, potential, robin = spectral._jacobi_coefficients(
+                emb, weight.values, fol.potential.hessian)
+            value, faces = spectral._pointwise_drift_operator(
+                grid, *drift_coefficients(emb.induced_metric, weight),
+                potential, robin, fol.lapse[k].values)
+            assert np.array_equal(check.residuals[k].values,
+                                  value - check.mu_rate[k])
+            assert faces.keys() == check.robin[k].keys()
+            for face, residual in faces.items():
+                assert np.array_equal(check.robin[k][face], residual)
