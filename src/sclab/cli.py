@@ -324,11 +324,13 @@ def _run_identity(config) -> int:
     levels = np.log2([float(r["resolution"]) for r in rows])
     orders = []
     for column in ("evolution_residual_maxnorm", "adjoint_residual_maxnorm"):
-        errs = np.log2([r[column] for r in rows])
-        orders.append(-np.polyfit(levels, errs, 1)[0])
-    good = all(o >= values["min_order"] for o in orders)
-    print(f"identity: order_evolution={orders[0]:.3f} "
-          f"order_adjoint={orders[1]:.3f} "
+        errs = [r[column] for r in rows]
+        orders.append(-np.polyfit(levels, np.log2(errs), 1)[0] if any(errs)
+                      else None)    # 0 at every level: holds exactly
+    good = all(o is None or o >= values["min_order"] for o in orders)
+    shown = ["exact" if o is None else f"{o:.3f}" for o in orders]
+    print(f"identity: order_evolution={shown[0]} "
+          f"order_adjoint={shown[1]} "
           f"(min {values['min_order']:g}) "
           f"verdict={'pass' if good else 'fail'} -> {path}")
     return 0 if good else 2

@@ -295,18 +295,13 @@ def embed_graph(metric: TensorField, height, graph_axis: int | None = None,
 
     mean = np.einsum("...ab,...ab->...", induced_inv, second.values,
                      optimize=False)
-    solve_trace = np.trace(np.linalg.solve(induced.values, second.values),
-                           axis1=-2, axis2=-1)
-    if np.max(np.abs(mean - solve_trace)) > 1e-10:
-        raise ValueError("mean-curvature trace disagrees between the "
-                         "inverse and solve routes")
 
     boundary_normal = {}
     for a in range(ds):
         if slice_grid.topology[a] != BOUNDARY:
             continue
         for side, row, sign in ((0, 0, -1.0), (1, -1, 1.0)):
-            inv_face = np.take(induced_inv, row, axis=a)
+            inv_face = np.moveaxis(induced_inv, a, 0)[row]
             eta = sign * inv_face[..., :, a] / np.sqrt(inv_face[..., a, a])[..., None]
             boundary_normal[(a, side)] = eta
 
@@ -533,13 +528,13 @@ def chart_wall(emb: HypersurfaceEmbedding, axis: int,
     axis_in_wall = emb.graph_axis - (1 if amb_axis < emb.graph_axis else 0)
     sampler = _make_sampler(emb.ambient_grid.drop_axis(amb_axis),
                             axis_in_wall,
-                            np.take(emb.graph_height.values, row, axis=axis))
-    metric = sampler.take(np.take(emb.ambient_metric.values, row,
-                                  axis=amb_axis))
+                            np.moveaxis(emb.graph_height.values, axis, 0)[row])
+    metric = sampler.take(
+        np.moveaxis(emb.ambient_metric.values, amb_axis, 0)[row])
     return _coordinate_face(
         metric, inverse_and_determinant(metric)[0],
-        sampler.take(np.take(emb.ambient_bundle.christoffel, row,
-                             axis=amb_axis)),
+        sampler.take(
+            np.moveaxis(emb.ambient_bundle.christoffel, amb_axis, 0)[row]),
         amb_axis, side)
 
 
@@ -577,17 +572,17 @@ def boundary_trace_identity(emb: HypersurfaceEmbedding,
     for (a, side), eta in emb.boundary_normal.items():
         row = -1 if side else 0
         h_face = _coordinate_face(
-            np.take(emb.induced_metric.values, row, axis=a),
-            np.take(emb.induced_inverse, row, axis=a),
-            np.take(emb.intrinsic.christoffel, row, axis=a), a,
+            np.moveaxis(emb.induced_metric.values, a, 0)[row],
+            np.moveaxis(emb.induced_inverse, a, 0)[row],
+            np.moveaxis(emb.intrinsic.christoffel, a, 0)[row], a,
             side).mean_curvature
         h_wall = chart_wall(emb, a, side).mean_curvature
-        lhs = np.einsum("...b,...b->...", np.take(grad_phi_s, row, axis=a),
+        lhs = np.einsum("...b,...b->...", np.moveaxis(grad_phi_s, a, 0)[row],
                         eta, optimize=False) + h_face
         eta_amb = np.einsum("...ib,...b->...i",
-                            np.take(emb.tangent_frame, row, axis=a), eta,
+                            np.moveaxis(emb.tangent_frame, a, 0)[row], eta,
                             optimize=False)
-        rhs = np.einsum("...i,...i->...", np.take(dphi_s, row, axis=a),
+        rhs = np.einsum("...i,...i->...", np.moveaxis(dphi_s, a, 0)[row],
                         eta_amb, optimize=False) + h_wall
         out[(a, side)] = FaceTrace(a, side, lhs, rhs, lhs - rhs)
     return out

@@ -163,6 +163,9 @@ def assemble_drift_operator(grid: ChartGrid, inverse: np.ndarray,
 # h_wall(nu, nu) by O(residual): at 1e-10 that stays two orders under
 # the 1e-8 residual bound of the principal eigenpair.
 CONTACT_TOL = 1e-10
+# inverse iteration stops once its Rayleigh quotient moves by at most
+# this and its residual is within that 1e-8 bound
+EIGENVALUE_TOL = 1e-10
 
 
 def _wall_robin_data(emb: HypersurfaceEmbedding, axis: int,
@@ -177,7 +180,7 @@ def _wall_robin_data(emb: HypersurfaceEmbedding, axis: int,
     offending node of the face raises ValueError.
     """
     wall = chart_wall(emb, axis, side)
-    nu_face = np.take(emb.normal, -1 if side else 0, axis=axis)
+    nu_face = np.moveaxis(emb.normal, axis, 0)[-1 if side else 0]
     contact = np.abs(np.einsum("...i,...i->...", wall.normal_covector,
                                nu_face, optimize=False))
     if contact.max() > CONTACT_TOL:
@@ -219,11 +222,10 @@ def _pointwise_drift_operator(grid: ChartGrid, inverse: np.ndarray,
                     + d_flux[..., a, b, a] * du[..., b])
     faces = {}
     for (a, side), b in robin.items():
-        row = -1 if side else 0
         conormal = np.einsum("...j,...j->...", inv[..., a, :], du,
                              optimize=False) / np.sqrt(inv[..., a, a])
-        faces[(a, side)] = np.take((1.0 if side else -1.0) * conormal - b * u,
-                                   row, axis=a)
+        faces[(a, side)] = np.moveaxis((1.0 if side else -1.0) * conormal
+                                       - b * u, a, 0)[-1 if side else 0]
     return potential * u - acc / dens, faces
 
 
@@ -286,7 +288,7 @@ def _finalize_pair(problem: SpectralProblem, value: float, vector: np.ndarray,
     return EigenPair(float(value), field, res_norm, iterations)
 
 
-def principal_eigenpair(problem: SpectralProblem, tol: float = 1e-10,
+def principal_eigenpair(problem: SpectralProblem,
                         max_iterations: int = 10000) -> EigenPair:
     """Smallest eigenvalue by shifted inverse iteration.
 
@@ -319,7 +321,7 @@ def principal_eigenpair(problem: SpectralProblem, tol: float = 1e-10,
         y = z
         res = (op @ y) - new_value * y
         res_norm = float(np.sqrt(tree_sum(res * res * m)))
-        if abs(new_value - value) <= tol:
+        if abs(new_value - value) <= EIGENVALUE_TOL:
             if res_norm <= 1e-8:
                 return _finalize_pair(problem, new_value, y, iteration)
             # a pessimistic Gershgorin shift contracts slowly enough

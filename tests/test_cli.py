@@ -484,6 +484,21 @@ class TestIdentityCommand:
         assert "error: non-finite field value at node (0, 0)" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_flat_torus_holds_exactly(self, out_dir):
+        # amplitude=0 phi=0 is the flat control: both residuals are 0
+        # at every level, which passes without fitting a log of zero;
+        # run as a process so a numpy warning shows on stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "sclab.cli", "identity", "torus",
+             "amplitude=0", "phi=0", "res=16,32"],
+            env=cli_env(SCL_OUTPUT_DIR=str(out_dir)),
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert ("order_evolution=exact order_adjoint=exact"
+                in proc.stdout)
+        assert "verdict=pass" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_unreachable_order_fails_verdict(self, out_dir, capsys):
         assert main(["identity", "torus", "res=32,64", "min_order=5"]) == 2
         assert "verdict=fail" in capsys.readouterr().out

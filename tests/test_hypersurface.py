@@ -6,6 +6,8 @@ derivation of the same definition, so stencil and assembly errors
 cannot hide in a convention flip.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -454,6 +456,25 @@ class TestChartWall:
                         (wall.mean_curvature, ref.mean_curvature.values)):
                     assert got.shape == want[at].shape
                     assert np.abs(got - want[at]).max() <= 1e-12
+
+    def test_reads_one_row_of_the_slab_bundle(self):
+        # the wall samples g and Gamma on one node row; copying the
+        # bundle's whole Christoffel array to cut that row out would
+        # put the peak above the array itself
+        grid, metric = spherical_shell(21, 40, 21, rel_width=0.3)
+        times = grid.axis_coords(2)[8:13]
+        heights = [lambda t, p, c=c: np.full_like(t, c) for c in times]
+        fol = make_graph_foliation(metric, times, heights, zeros_on(grid),
+                                   graph_axis=2)
+        emb = fol.slices[2]
+        chart_wall(emb, 0, 1)
+        tracemalloc.start()
+        try:
+            chart_wall(emb, 0, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < emb.ambient_bundle.christoffel.nbytes / 10
 
 
 class TestBoundaryTrace:

@@ -1,19 +1,25 @@
 """Module layout: no sclab module imports another module's private
-names, only charts runs stencil loops, inverts a metric or builds a
-grid, only charts (snapshots) and cli (job outputs) write files, only
-cli decides when a snapshot is written, spectral embeds no graph,
-builds no curvature bundle and inverts no metric of its own, systole writes its cover
-graph straight into CSR arrays and searches it from one place, and no
-integral inverts a metric: `integrate`, `f_functional`, `weighted_area`
-and `weighted_area_variation` read the volume density its metric's
-owner kept from the one inversion it made.
+names, only charts runs stencil loops, inverts a metric, solves a dense
+system or builds a grid, only charts (snapshots) and cli (job outputs)
+write files, only cli decides when a snapshot is written, spectral
+embeds no graph, builds no curvature bundle and inverts no metric of
+its own, hypersurface and spectral read face rows as views, systole
+writes its cover graph straight into CSR arrays and searches it from
+one place, and no integral inverts a metric: `integrate`,
+`f_functional`, `weighted_area` and `weighted_area_variation` read the
+volume density its metric's owner kept from the one inversion it made.
 
 Every file under src/sclab is parsed with ast; a relative import of a
 name with a leading underscore, a call of `diff_array`,
-`np.linalg.inv`, `np.linalg.det` or `ChartGrid` outside charts.py, an
+`np.linalg.inv`, `np.linalg.det`, `np.linalg.solve` or `ChartGrid`
+outside charts.py (so no dense `np.linalg` call is left outside it), an
 `open(...)` for writing outside charts.py and cli.py, a call of
 `write_snapshot` outside cli.py, a call of `embed_graph`,
-`curvature_bundle` or `inverse_and_determinant` in spectral.py, or a COO build in systole.py, is
+`curvature_bundle` or `inverse_and_determinant` in spectral.py, an
+`np.take` in hypersurface.py or spectral.py (a face row is read as a
+basic-index view, `np.moveaxis(x, axis, 0)[row]`: `np.take` copies,
+and on a non-contiguous array such as a bundle's Christoffel symbols
+it copies the whole array first), or a COO build in systole.py, is
 reported with its file and line.  systole.py must hold exactly one
 `dijkstra` call site and one `csr_matrix(...)` call: one cover, on
 reduced costs, searched by one blocked routine in both passes.  A call
@@ -81,11 +87,13 @@ def stencil_calls(path: Path) -> list:
 
 
 def dense_inverse_calls(path: Path) -> list:
-    """`file:line: np.linalg.inv(...)` for each LAPACK inverse or
-    determinant (any call spelled `... linalg.inv` or `... linalg.det`)."""
+    """`file:line: np.linalg.inv(...)` for each LAPACK inverse,
+    determinant or solve (any call spelled `... linalg.inv`,
+    `... linalg.det` or `... linalg.solve`)."""
     return [f"{path.name}:{line}: {name}(...)"
             for line, name in call_names(path)
-            if name.split(".")[-2:] in (["linalg", "inv"], ["linalg", "det"])]
+            if name.split(".")[-2:] in (["linalg", "inv"], ["linalg", "det"],
+                                        ["linalg", "solve"])]
 
 
 def test_stencil_loops_only_in_charts():
@@ -114,8 +122,8 @@ def test_metric_inverses_only_in_charts():
     assert SOURCE / "curvature.py" in paths
     found = [line for path in paths if path.name != "charts.py"
              for line in dense_inverse_calls(path)]
-    assert not found, "LAPACK inverse or determinant outside charts.py:\n" \
-        + "\n".join(found)
+    assert not found, "LAPACK inverse, determinant or solve outside " \
+        "charts.py:\n" + "\n".join(found)
 
 
 def test_inverse_detector_names_file_and_line(tmp_path):
@@ -128,6 +136,7 @@ def test_inverse_detector_names_file_and_line(tmp_path):
                       "e = charts.inverse_and_determinant(g)\n")
     assert dense_inverse_calls(sample) == [
         "sample.py:3: np.linalg.inv(...)",
+        "sample.py:4: np.linalg.solve(...)",
         "sample.py:6: numpy.linalg.det(...)"]
 
 
@@ -276,6 +285,34 @@ def test_leaf_geometry_detector_names_file_and_line(tmp_path):
         "sample.py:2: embed_graph(...)", "sample.py:4: embed_graph(...)",
         "sample.py:6: curvature_bundle(...)",
         "sample.py:8: inverse_and_determinant(...)"]
+
+
+def row_copies(path: Path) -> list:
+    """`file:line: np.take(...)` for each `np.take` or `numpy.take`
+    call; a method spelled `.take` (a sampler's) is not one."""
+    return [f"{path.name}:{line}: {name}(...)"
+            for line, name in call_names(path)
+            if name in ("np.take", "numpy.take")]
+
+
+def test_face_rows_are_views():
+    # chart_wall, the leaf faces and the Robin rows read one boundary
+    # row; np.take on the bundle's component-major Christoffel view
+    # copied the whole slab's array (15.6 MB on a shell leaf) per wall
+    found = [line for name in ("hypersurface.py", "spectral.py")
+             for line in row_copies(SOURCE / name)]
+    assert not found, "face row copied with np.take:\n" + "\n".join(found)
+
+
+def test_row_copy_detector_names_file_and_line(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("import numpy as np\n"
+                      "a = np.take(x, 0, axis=1)\n"
+                      "b = sampler.take(x)\n"
+                      "c = numpy.take(\n    x, -1, axis=0)\n"
+                      "d = np.moveaxis(x, 1, 0)[0]\n")
+    assert row_copies(sample) == [
+        "sample.py:2: np.take(...)", "sample.py:4: numpy.take(...)"]
 
 
 def coo_builds(path: Path) -> list:
