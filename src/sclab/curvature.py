@@ -129,9 +129,11 @@ def _component_major(a: np.ndarray, rank: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PotentialDerivatives:
-    """First and second covariant derivatives of a scalar potential."""
+    """First and second covariant derivatives of a scalar potential,
+    with the potential itself: the one record of a weight e^phi."""
 
     grid: ChartGrid
+    field: ScalarField        # phi as given, on grid or its full chart
     gradient: np.ndarray      # covariant components d_a phi
     gradient_sq: ScalarField  # |grad phi|^2 = g^{ab} d_a phi d_b phi
     hessian: TensorField      # D^2 phi, the ambient covariant Hessian
@@ -158,7 +160,7 @@ def potential_derivatives(bundle: CurvatureBundle,
     grad_sq = np.einsum("...ab,...a,...b->...", inv, dphi, dphi,
                         optimize=False)
     lap = np.einsum("...ab,...ab->...", inv, hess, optimize=False)
-    return PotentialDerivatives(grid, dphi,
+    return PotentialDerivatives(grid, phi, dphi,
                                 ScalarField(grid, grad_sq),
                                 TensorField(grid, 2, hess),
                                 ScalarField(grid, lap))

@@ -15,7 +15,10 @@ halo row is one whose graph-axis stencil is one-sided only because of
 the cut; every row inside the halo carries the whole chart's stencil
 values bit for bit, so a sampler that would read a halo row raises
 instead.  Ambient fields given on the whole chart are restricted to the
-slab by `charts.restrict`.
+slab by `charts.restrict`, when the embedding samples them.  A weight
+e^phi is one record, phi's `PotentialDerivatives` (phi as `field`, and
+its ambient derivatives): the identities read it and differentiate
+only on the slice grid.
 
 Sign conventions: h(X, Y) = g(grad_X nu, Y), so the round sphere with
 outward normal has H = +2/r, and a convex boundary circle of radius r
@@ -330,29 +333,25 @@ def second_fundamental_norm_sq(emb: HypersurfaceEmbedding) -> np.ndarray:
                      optimize=False)
 
 
-def gauss_identity_sides(emb: HypersurfaceEmbedding, rho: ScalarField,
+def gauss_identity_sides(emb: HypersurfaceEmbedding,
+                         weight: PotentialDerivatives,
                          u: ScalarField) -> tuple[ScalarField, ScalarField]:
-    """Both sides of the weighted Gauss identity, evaluated separately.
+    """Both sides of the weighted Gauss identity, evaluated separately,
+    for the density rho = e^phi given by phi's ambient derivatives
+    `weight` (on the ambient slab or on the full chart).
 
     The two sides share no finite-difference work: the left side runs
     through ambient and intrinsic curvature pipelines, the right side
     through the stability-operator terms, so their agreement is a real
     cross-check rather than an algebraic tautology.
     """
-    rho_amb = restrict(rho, emb.ambient_grid)
     if u.grid != emb.slice_grid:
         raise ValueError("surface weight lives on a different slice grid")
-    if np.any(rho.values <= 0.0):
-        raise ValueError("density must be positive on the ambient chart")
     if np.any(u.values <= 0.0):
         raise ValueError("surface weight must be positive")
 
     amb = emb.ambient_bundle
-    log_rho = ScalarField(emb.ambient_grid, np.log(rho_amb))
-    amb_pot = potential_derivatives(amb, log_rho)
-
-    rho_s = emb.sample(rho)
-    log_rho_s = np.log(rho_s)
+    log_rho_s = emb.sample(weight.field)
     log_u = np.log(u.values)
     log_v = log_rho_s + log_u
 
@@ -362,21 +361,21 @@ def gauss_identity_sides(emb: HypersurfaceEmbedding, rho: ScalarField,
     p_logu = potential_derivatives(sb, ScalarField(emb.slice_grid, log_u))
     p_logrho = potential_derivatives(sb, ScalarField(emb.slice_grid, log_rho_s))
 
-    weighted_h = weighted_mean_curvature(emb, amb_pot).values
+    weighted_h = weighted_mean_curvature(emb, weight).values
     h_sq = second_fundamental_norm_sq(emb)
 
     lhs = (-2.0 * p_v.laplacian.values
            - p_v.gradient_sq.values
            + sb.scalar.values
            - weighted_h ** 2
-           + 2.0 * emb.sample(amb_pot.laplacian)
-           + emb.sample(amb_pot.gradient_sq)
+           + 2.0 * emb.sample(weight.laplacian)
+           + emb.sample(weight.gradient_sq)
            - emb.sample(amb.scalar)
            - p_logu.gradient_sq.values
            - h_sq)
 
     ric_nn = emb.sample_nn(amb.ricci)
-    hess_nn = emb.sample_nn(amb_pot.hessian)
+    hess_nn = emb.sample_nn(weight.hessian)
     cross = np.einsum("...ab,...a,...b->...", sb.inverse,
                       p_logrho.gradient, p_logu.gradient, optimize=False)
 
@@ -389,10 +388,11 @@ def gauss_identity_sides(emb: HypersurfaceEmbedding, rho: ScalarField,
             ScalarField(emb.slice_grid, rhs))
 
 
-def gauss_identity_residual(emb: HypersurfaceEmbedding, rho: ScalarField,
+def gauss_identity_residual(emb: HypersurfaceEmbedding,
+                            weight: PotentialDerivatives,
                             u: ScalarField) -> ScalarField:
     """Left minus right side of the weighted Gauss identity per node."""
-    lhs, rhs = gauss_identity_sides(emb, rho, u)
+    lhs, rhs = gauss_identity_sides(emb, weight, u)
     return ScalarField(emb.slice_grid, lhs.values - rhs.values)
 
 
@@ -409,17 +409,17 @@ class GraphFoliation:
     lapse is the normal speed <nu, d/dt graph>, required positive.
     weighted_H is H + <grad phi, nu> per slice, for the log-density phi
     the foliation was built with; an unweighted foliation carries the
-    zero field, which gives weighted_H = H.  potential holds phi's
-    ambient derivatives on the slices' shared ambient bundle, on the one
-    slab all leaves read, computed once with the foliation; every
-    leaf-level check reads them here.
+    zero field, which gives weighted_H = H.  potential is the one record
+    of that weight: phi as given (`potential.field`) and its ambient
+    derivatives on the slices' shared ambient bundle, on the one slab
+    all leaves read, computed once with the foliation; every leaf-level
+    check reads them here.
     """
 
     times: tuple
     slices: tuple
     lapse: tuple
     weighted_H: tuple
-    log_density: ScalarField
     potential: PotentialDerivatives
 
 
@@ -455,7 +455,7 @@ def make_graph_foliation(metric: TensorField, times, heights,
         lapse.append(ScalarField(emb.slice_grid, f))
         weighted.append(weighted_mean_curvature(emb, potential))
     return GraphFoliation(tuple(times), tuple(slices), tuple(lapse),
-                          tuple(weighted), phi, potential)
+                          tuple(weighted), potential)
 
 
 @dataclass(frozen=True)
@@ -475,7 +475,7 @@ def weighted_area_variation(fol: GraphFoliation) -> AreaVariation:
     Both sides use the foliation's own log-density and its stored
     weighted mean curvature.
     """
-    phi = fol.log_density
+    phi = fol.potential.field
     areas = np.array([weighted_area(s, phi) for s in fol.slices])
     rate = np.gradient(areas, np.asarray(fol.times), edge_order=2)
     variation = np.array([
@@ -550,9 +550,10 @@ class FaceTrace:
 
 
 def boundary_trace_identity(emb: HypersurfaceEmbedding,
-                            phi: ScalarField) -> dict:
+                            weight: PotentialDerivatives) -> dict:
     """Residual of the boundary trace relation on every boundary face,
-    for the weight rho = e^phi.
+    for the weight rho = e^phi given by phi's ambient derivatives
+    `weight` (on the ambient slab or on the full chart).
 
     Face curvatures are read in closed form with outward normals: the
     face inside the hypersurface from the induced metric, its held
@@ -564,9 +565,8 @@ def boundary_trace_identity(emb: HypersurfaceEmbedding,
     if emb.slice_grid.dim < 2:
         raise ValueError("boundary faces of a 1-d slice are points; "
                          "no face curvature is defined")
-    grad_phi_s = gradient(emb.sample(phi), emb.slice_grid)
-    dphi_s = emb.sample(gradient(restrict(phi, emb.ambient_grid),
-                                 emb.ambient_grid))
+    grad_phi_s = gradient(emb.sample(weight.field), emb.slice_grid)
+    dphi_s = emb.sample(TensorField(weight.grid, 1, weight.gradient))
 
     out = {}
     for (a, side), eta in emb.boundary_normal.items():

@@ -30,7 +30,6 @@ from .charts import (
     PERIODIC,
     ChartGrid,
     ScalarField,
-    TensorField,
     derivative_matrix,
     gradient,
     gradient_and_hessian,
@@ -38,7 +37,7 @@ from .charts import (
     restrict,
     tree_sum,
 )
-from .curvature import potential_derivatives
+from .curvature import PotentialDerivatives, potential_derivatives
 from .hypersurface import (
     GraphFoliation,
     HypersurfaceEmbedding,
@@ -221,20 +220,26 @@ def _pointwise_drift_operator(grid: ChartGrid, inverse: np.ndarray,
             acc += (flux[..., a, b] * d2u[a, b]
                     + d_flux[..., a, b, a] * du[..., b])
     faces = {}
-    for (a, side), b in robin.items():
-        conormal = np.einsum("...j,...j->...", inv[..., a, :], du,
-                             optimize=False) / np.sqrt(inv[..., a, a])
-        faces[(a, side)] = np.moveaxis((1.0 if side else -1.0) * conormal
-                                       - b * u, a, 0)[-1 if side else 0]
+    for a in sorted({a for a, _ in robin}):
+        # both faces of wall axis a at once, on a copy of its two end
+        # rows: a face keeps those two rows alive, not the whole leaf
+        inv_e, du_e, u_e = (np.moveaxis(x, a, 0)[[0, -1]]
+                            for x in (inv, du, u))
+        sign = np.reshape([-1.0, 1.0], (2,) + (1,) * (u_e.ndim - 1))
+        conormal = np.einsum("...j,...j->...", inv_e[..., a, :], du_e,
+                             optimize=False) / np.sqrt(inv_e[..., a, a])
+        faces[(a, 0)], faces[(a, 1)] = (
+            sign * conormal - np.stack([robin[(a, 0)], robin[(a, 1)]]) * u_e)
     return potential * u - acc / dens, faces
 
 
-def _jacobi_coefficients(emb: HypersurfaceEmbedding, weight: np.ndarray,
-                         hessian: TensorField) -> tuple:
+def _jacobi_coefficients(emb: HypersurfaceEmbedding,
+                         weight: PotentialDerivatives) -> tuple:
     """The coefficients of a leaf's stability operator for a density
-    rho, given rho on the leaf (weight) and D^2 log rho on its ambient
-    slab or chart (hessian), as the leading arguments of both
-    `assemble_drift_operator` and `_pointwise_drift_operator`.
+    rho = e^phi, given phi's derivatives on the leaf's ambient slab or
+    chart (weight), as the leading arguments of both
+    `assemble_drift_operator` and `_pointwise_drift_operator`.  The leaf
+    density is e^phi sampled on the leaf, for both.
 
     Second order: the held g^{ab} and sqrt(g); zeroth: -ric(nu,nu) - |h|^2
     + (D^2 log rho)(nu,nu); first: the log-rho drift, folded into the
@@ -242,10 +247,11 @@ def _jacobi_coefficients(emb: HypersurfaceEmbedding, weight: np.ndarray,
     """
     potential = (-emb.sample_nn(emb.ambient_bundle.ricci)
                  - second_fundamental_norm_sq(emb)
-                 + emb.sample_nn(hessian))
+                 + emb.sample_nn(weight.hessian))
     robin = {face: _wall_robin_data(emb, *face)
              for face in emb.boundary_normal}
-    density = ScalarField(emb.slice_grid, weight * emb.induced_volume.values)
+    density = ScalarField(emb.slice_grid, np.exp(emb.sample(weight.field))
+                          * emb.induced_volume.values)
     return emb.slice_grid, emb.induced_inverse, density, potential, robin
 
 
@@ -257,9 +263,8 @@ def assemble_jacobi(emb: HypersurfaceEmbedding,
     if np.any(rho.values <= 0.0):
         raise ValueError("density must be positive")
     log_rho = ScalarField(emb.ambient_grid, np.log(rho_amb))
-    hessian = potential_derivatives(emb.ambient_bundle, log_rho).hessian
-    return assemble_drift_operator(
-        *_jacobi_coefficients(emb, emb.sample(rho), hessian))
+    return assemble_drift_operator(*_jacobi_coefficients(
+        emb, potential_derivatives(emb.ambient_bundle, log_rho)))
 
 
 @dataclass(frozen=True)
@@ -355,9 +360,9 @@ def lapse_residual(fol: GraphFoliation) -> LapseCheck:
     pointwise, and on each chart wall the residual of the free-boundary
     condition <grad f, eta> = h_wall(nu, nu) f.
 
-    L uses the log-density the foliation was built with, the same
-    weight its stored mu comes from, and its stored Hessian.  The walls'
-    Robin data need every leaf to meet the walls orthogonally.
+    L uses the foliation's weight record, the same weight its stored mu
+    comes from.  The walls' Robin data need every leaf to meet the walls
+    orthogonally.
     Foliations whose weighted mean curvature is not constant on each
     slice (beyond stencil error) are rejected: the mu'(t) coupling is
     only meaningful in the constant case.
@@ -379,9 +384,7 @@ def lapse_residual(fol: GraphFoliation) -> LapseCheck:
     residuals, robin = [], []
     for k, emb in enumerate(fol.slices):
         value, faces = _pointwise_drift_operator(
-            *_jacobi_coefficients(emb, np.exp(emb.sample(fol.log_density)),
-                                  fol.potential.hessian),
-            fol.lapse[k].values)
+            *_jacobi_coefficients(emb, fol.potential), fol.lapse[k].values)
         residuals.append(ScalarField(emb.slice_grid, value - mu_rate[k]))
         robin.append(faces)
     return LapseCheck(times, tuple(residuals), tuple(robin), mu, mu_rate,

@@ -173,28 +173,15 @@ def quantization_bound(connectivity: int) -> float:
 def _straight_loop_bound(graph: WindingGraph) -> float:
     """Length of the cheapest pure-xi axis loop; a valid winding cycle,
     so an upper bound that seeds the shortest-path pruning."""
-    n0, n1 = graph.grid.shape
-    # build_winding_graph stores edges offset by offset, tails in
-    # row-major order: the (1, 0) block comes first, one row short when
-    # axis 0 is a boundary axis, and the (0, 1) block follows it.
-    start = 0
-    if graph.xi_axis == 1:
-        start = n1 * (n0 if graph.grid.topology[0] == PERIODIC else n0 - 1)
-    edges = slice(start, start + n0 * n1)
-    nodes = np.arange(n0 * n1)
-    ahead = np.roll(nodes.reshape(n0, n1), -1, axis=graph.xi_axis).ravel()
-    tail, head = graph.tail[edges], graph.head[edges]
-    off = np.flatnonzero((tail != nodes[:tail.size])
-                         | (head != ahead[:tail.size]))
-    k = int(off[0]) if off.size else tail.size
-    if k < nodes.size:
-        raise ValueError(f"edge {start + k} is not the unit xi step out of "
-                         f"node {node_tuple(k, graph.grid.shape)}; the "
-                         "graph's edges are not in build_winding_graph's "
-                         "order")
-    steps = graph.length[edges].reshape(n0, n1)
+    shape = graph.grid.shape
+    nodes = np.arange(graph.node_count)
+    ahead = np.roll(nodes.reshape(shape), -1, axis=graph.xi_axis).ravel()
+    unit = graph.head == ahead[graph.tail]
+    steps = np.full(nodes.size, np.inf)
+    steps[graph.tail[unit]] = graph.length[unit]
     # cumsum adds along the loop in order, as walking it would
-    loops = np.cumsum(steps, axis=graph.xi_axis).take(-1, graph.xi_axis)
+    loops = np.cumsum(steps.reshape(shape), axis=graph.xi_axis).take(
+        -1, graph.xi_axis)
     return float(loops.min())
 
 

@@ -241,6 +241,11 @@ def half_radius_estimates(graph) -> np.ndarray:
     return estimate
 
 
+def ambient_weight(emb, phi: ScalarField):
+    """phi's weight record on a leaf's ambient bundle."""
+    return potential_derivatives(emb.ambient_bundle, phi)
+
+
 def box_bundle_foliation(metric: TensorField, times, heights,
                          phi: ScalarField, graph_axis: int):
     """The foliation of make_graph_foliation, with every leaf reading the
@@ -264,7 +269,7 @@ def box_bundle_foliation(metric: TensorField, times, heights,
                 for s in slices]
     return hypersurface.GraphFoliation(
         tuple(float(t) for t in times), tuple(slices), tuple(lapse),
-        tuple(weighted), phi, potential)
+        tuple(weighted), potential)
 
 
 def dense_curvature(metric: TensorField) -> tuple:

@@ -18,8 +18,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import cli_env, constant_metric, dense_principal_eigenvalue, \
-    drift_problem
+from helpers import ambient_weight, cli_env, constant_metric, \
+    dense_principal_eigenvalue, drift_problem
 from sclab.charts import PERIODIC, ScalarField, make_chart, sample_field
 from sclab.curvature import curvature_bundle, f_functional, warped_residual
 from sclab.flow import (
@@ -95,6 +95,10 @@ def ones_on(grid):
     return ScalarField(grid, np.ones(grid.shape))
 
 
+def zeros_on(grid):
+    return ScalarField(grid, np.zeros(grid.shape))
+
+
 def circle_metric(resolution):
     grid = make_chart(1, (resolution,), (TWO_PI,), (PERIODIC,))
     return grid, sample_field(grid, lambda x: np.ones(x.shape + (1, 1)),
@@ -168,8 +172,8 @@ def test_04_gauss_identity():
         grid, metric = flat_box3((16, 16, 16))
         emb = embed_graph(metric, lambda x, y: np.full(x.shape, np.pi),
                           graph_axis=2)
-        res = gauss_identity_residual(emb, ones_on(grid),
-                                      ones_on(emb.slice_grid))
+        res = gauss_identity_residual(
+            emb, ambient_weight(emb, zeros_on(grid)), ones_on(emb.slice_grid))
         assert np.abs(res.values).max() <= 1e-9
 
         lhs_err, rhs_err = [], []
@@ -178,8 +182,9 @@ def test_04_gauss_identity():
             emb = embed_graph(metric,
                               lambda ph: np.full_like(ph, np.pi / 2),
                               graph_axis=0)
-            lhs, rhs = gauss_identity_sides(emb, ones_on(grid),
-                                            ones_on(emb.slice_grid))
+            lhs, rhs = gauss_identity_sides(
+                emb, ambient_weight(emb, zeros_on(grid)),
+                ones_on(emb.slice_grid))
             lhs_err.append(float(np.abs(lhs.values + 2.0).max()))
             rhs_err.append(float(np.abs(rhs.values + 2.0).max()))
         assert min(observed_orders(lhs_err)) >= 1.9
@@ -190,11 +195,10 @@ def test_04_gauss_identity():
             grid, metric = flat_box3((n, n, n))
             emb = embed_graph(metric, lambda a, b: 0.05 * np.sin(a) + np.pi,
                               graph_axis=2)
-            rho = sample_field(grid,
-                               lambda x1, x2, x3: np.exp(0.2 * np.sin(x2)))
+            phi = sample_field(grid, lambda x1, x2, x3: 0.2 * np.sin(x2))
             u = sample_field(emb.slice_grid,
                              lambda a, b: 1 + 0.1 * np.cos(a))
-            res = gauss_identity_residual(emb, rho, u)
+            res = gauss_identity_residual(emb, ambient_weight(emb, phi), u)
             errs.append(float(np.abs(res.values).max()))
         assert min(observed_orders(errs)) >= 1.8
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    ambient_weight,
     constant_metric,
     einsum_second_fundamental,
     patch_every_binding,
@@ -226,8 +227,8 @@ class TestGaussIdentity:
         grid, metric = flat_box3((16, 16, 16))
         emb = embed_graph(metric, lambda a, b: np.full_like(a, 1.0),
                           graph_axis=2)
-        res = gauss_identity_residual(emb, ones_on(grid),
-                                      ones_on(emb.slice_grid))
+        res = gauss_identity_residual(
+            emb, ambient_weight(emb, zeros_on(grid)), ones_on(emb.slice_grid))
         assert np.max(np.abs(res.values)) < 1e-12
 
     def test_equator_pins_both_sides(self):
@@ -239,8 +240,9 @@ class TestGaussIdentity:
             grid, metric = sphere_band(lat, 32)
             emb = embed_graph(metric, lambda ph: np.full_like(ph, np.pi / 2),
                               graph_axis=0)
-            lhs, rhs = gauss_identity_sides(emb, ones_on(grid),
-                                            ones_on(emb.slice_grid))
+            lhs, rhs = gauss_identity_sides(
+                emb, ambient_weight(emb, zeros_on(grid)),
+                ones_on(emb.slice_grid))
             lhs_err.append(np.max(np.abs(lhs.values + 2.0)))
             rhs_err.append(np.max(np.abs(rhs.values + 2.0)))
         assert lhs_err[-1] < 5e-4 and rhs_err[-1] < 5e-4
@@ -254,24 +256,23 @@ class TestGaussIdentity:
             emb = embed_graph(metric,
                               lambda a, b: 0.05 * np.sin(a) + np.pi,
                               graph_axis=2)
-            rho = sample_field(grid,
-                               lambda x1, x2, x3: np.exp(0.2 * np.sin(x2)))
+            phi = sample_field(grid, lambda x1, x2, x3: 0.2 * np.sin(x2))
             u = sample_field(emb.slice_grid,
                              lambda a, b: 1 + 0.1 * np.cos(a))
-            res = gauss_identity_residual(emb, rho, u)
+            res = gauss_identity_residual(emb, ambient_weight(emb, phi), u)
             errors.append(np.max(np.abs(res.values)))
         assert min(observed_orders(errors)) > 1.8
 
     def test_rejects_nonpositive_weights(self):
+        # the ambient weight is e^phi, positive by construction; the
+        # surface weight u is given as it is
         grid, metric = flat_box3((8, 8, 8))
         emb = embed_graph(metric, lambda a, b: np.full_like(a, 1.0),
                           graph_axis=2)
-        bad_rho = sample_field(grid, lambda x1, x2, x3: np.cos(x1))
-        with pytest.raises(ValueError, match="positive"):
-            gauss_identity_residual(emb, bad_rho, ones_on(emb.slice_grid))
         bad_u = sample_field(emb.slice_grid, lambda a, b: np.cos(a))
         with pytest.raises(ValueError, match="positive"):
-            gauss_identity_residual(emb, ones_on(grid), bad_u)
+            gauss_identity_residual(emb, ambient_weight(emb, zeros_on(grid)),
+                                    bad_u)
 
 
 class TestWeightedArea:
@@ -484,7 +485,8 @@ class TestBoundaryTrace:
         metric = constant_metric(grid, np.eye(3))
         emb = embed_graph(metric, lambda a, b: np.full_like(a, np.pi),
                           graph_axis=2)
-        traces = boundary_trace_identity(emb, zeros_on(grid))
+        traces = boundary_trace_identity(emb,
+                                         ambient_weight(emb, zeros_on(grid)))
         assert set(traces) == {(0, 0), (0, 1)}
         for face in traces.values():
             assert np.max(np.abs(face.lhs)) < 1e-12
@@ -498,7 +500,8 @@ class TestBoundaryTrace:
                                            inner=inner)
         emb = embed_graph(metric, lambda s, al: np.full_like(s, np.pi),
                           graph_axis=2)
-        traces = boundary_trace_identity(emb, zeros_on(grid))
+        traces = boundary_trace_identity(emb,
+                                         ambient_weight(emb, zeros_on(grid)))
         outer = traces[(0, 1)]
         assert np.max(np.abs(outer.lhs - 1.0 / radius)) < 1e-10
         assert np.max(np.abs(outer.rhs - 1.0 / radius)) < 1e-10
@@ -512,7 +515,7 @@ class TestBoundaryTrace:
         emb = embed_graph(metric, lambda s, al: np.full_like(s, np.pi),
                           graph_axis=2)
         phi = sample_field(grid, lambda *x: np.full_like(x[0], 0.7))
-        traces = boundary_trace_identity(emb, phi)
+        traces = boundary_trace_identity(emb, ambient_weight(emb, phi))
         for face in traces.values():
             assert np.max(np.abs(face.residual)) < 1e-10
 
@@ -523,17 +526,39 @@ class TestBoundaryTrace:
         grid, metric = solid_cylinder_band(17, 24, 8, 1.0, 2 * np.pi)
         emb = embed_graph(metric, lambda s, al: np.full_like(s, np.pi),
                           graph_axis=2)
+        weight = ambient_weight(emb, zeros_on(grid))
         bundle_grids.clear()
         u = ones_on(emb.slice_grid)
-        gauss_identity_sides(emb, ones_on(grid), u)
-        gauss_identity_residual(emb, ones_on(grid), u)
-        traces = boundary_trace_identity(emb, zeros_on(grid))
+        gauss_identity_sides(emb, weight, u)
+        gauss_identity_residual(emb, weight, u)
+        traces = boundary_trace_identity(emb, weight)
         assert len(traces) == 2
         assert bundle_grids == [emb.slice_grid]
+
+    def test_reads_the_weight_off_its_record(self, monkeypatch):
+        # phi's ambient derivatives come with its weight record, so the
+        # Gauss sides and the face traces differentiate on the leaf only
+        grid, metric = solid_cylinder_band(17, 24, 8, 1.0, 2 * np.pi)
+        emb = embed_graph(metric, lambda s, al: np.full_like(s, np.pi),
+                          graph_axis=2)
+        phi = sample_field(grid, lambda s, al, z: 0.2 * s * s
+                           + 0.1 * np.sin(al + z))
+        weight = ambient_weight(emb, phi)
+        real, grids = charts.diff_array, []
+
+        def recording(values, on_grid, *rest):
+            grids.append(on_grid)
+            return real(values, on_grid, *rest)
+
+        patch_every_binding(monkeypatch, real, recording)
+        gauss_identity_sides(emb, weight, ones_on(emb.slice_grid))
+        boundary_trace_identity(emb, weight)
+        assert grids
+        assert not [g for g in grids if g.full_chart == grid]
 
     def test_rejects_closed_slice(self):
         grid, metric = flat_box3((8, 8, 8))
         emb = embed_graph(metric, lambda a, b: np.full_like(a, 1.0),
                           graph_axis=2)
         with pytest.raises(ValueError, match="no boundary"):
-            boundary_trace_identity(emb, zeros_on(grid))
+            boundary_trace_identity(emb, ambient_weight(emb, zeros_on(grid)))

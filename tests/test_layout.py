@@ -3,11 +3,15 @@ names, only charts runs stencil loops, inverts a metric, solves a dense
 system or builds a grid, only charts (snapshots) and cli (job outputs)
 write files, only cli decides when a snapshot is written, spectral
 embeds no graph, builds no curvature bundle and inverts no metric of
-its own, hypersurface and spectral read face rows as views, systole
-writes its cover graph straight into CSR arrays and searches it from
-one place, and no integral inverts a metric: `integrate`,
-`f_functional`, `weighted_area` and `weighted_area_variation` read the
-volume density its metric's owner kept from the one inversion it made.
+its own, hypersurface and spectral never copy a whole array to read
+a face row, hypersurface restricts ambient fields to the slab only
+where it builds the slab bundle and where an embedding samples (a
+weight is read off its one `PotentialDerivatives` record, never
+restricted and differentiated again), systole writes its cover graph
+straight into CSR arrays and searches it from one place, and no
+integral inverts a metric: `integrate`, `f_functional`, `weighted_area` and
+`weighted_area_variation` read the volume density its metric's owner
+kept from the one inversion it made.
 
 Every file under src/sclab is parsed with ast; a relative import of a
 name with a leading underscore, a call of `diff_array`,
@@ -19,12 +23,13 @@ outside charts.py (so no dense `np.linalg` call is left outside it), an
 `np.take` in hypersurface.py or spectral.py (a face row is read as a
 basic-index view, `np.moveaxis(x, axis, 0)[row]`: `np.take` copies,
 and on a non-contiguous array such as a bundle's Christoffel symbols
-it copies the whole array first), or a COO build in systole.py, is
-reported with its file and line.  systole.py must hold exactly one
-`dijkstra` call site and one `csr_matrix(...)` call: one cover, on
-reduced costs, searched by one blocked routine in both passes.  A call
-of `inverse_and_determinant` inside the body of one of the integrals is
-reported the same way.
+it copies the whole array first), a `restrict` call in hypersurface.py
+outside `_slab_bundle` and `HypersurfaceEmbedding.sample`, or a COO
+build in systole.py, is reported with its file and line.  systole.py
+must hold exactly one `dijkstra` call site and one `csr_matrix(...)`
+call: one cover, on reduced costs, searched by one blocked routine in
+both passes.  A call of `inverse_and_determinant` inside the body of
+one of the integrals is reported the same way.
 """
 
 import ast
@@ -313,6 +318,65 @@ def test_row_copy_detector_names_file_and_line(tmp_path):
                       "d = np.moveaxis(x, 1, 0)[0]\n")
     assert row_copies(sample) == [
         "sample.py:2: np.take(...)", "sample.py:4: numpy.take(...)"]
+
+
+RESTRICT_OWNERS = ("_slab_bundle", "HypersurfaceEmbedding.sample")
+
+
+def restrict_calls(path: Path) -> list:
+    """`file:line: restrict(...) in owner` for each `restrict` call whose
+    enclosing definition (`function`, `Class.method`, `outer.inner`) is
+    not one of RESTRICT_OWNERS; module level reads `<module>`."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}" if owner
+                      else child.name)
+                continue
+            if (isinstance(child, ast.Call) and owner not in RESTRICT_OWNERS
+                    and ast.unparse(child.func).split(".")[-1]
+                    == "restrict"):
+                found.append((child.lineno, owner or "<module>"))
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "")
+    return [f"{path.name}:{line}: restrict(...) in {owner}"
+            for line, owner in sorted(found)]
+
+
+def test_hypersurface_restricts_only_to_build_and_sample():
+    # a weight is read off its one record, PotentialDerivatives (phi as
+    # `field`, and its ambient derivatives); restricting it to the slab
+    # elsewhere is the first step of differentiating it again
+    found = restrict_calls(SOURCE / "hypersurface.py")
+    assert not found, "hypersurface.py restricts a field outside " \
+        "_slab_bundle and HypersurfaceEmbedding.sample:\n" + "\n".join(found)
+
+
+def test_restrict_detector_names_file_and_line(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("from .charts import restrict\n"
+                      "def _slab_bundle(metric, grid):\n"
+                      "    return restrict(metric, grid)\n"
+                      "class HypersurfaceEmbedding:\n"
+                      "    def sample(self, values):\n"
+                      "        return charts.restrict(values, self.grid)\n"
+                      "    def other(self, v):\n"
+                      "        return restrict(v, g)\n"
+                      "def gauss(emb, rho):\n"
+                      "    x = f(restrict(rho,\n"
+                      "                   emb.grid))\n"
+                      "    def inner():\n"
+                      "        return restrict(rho, g)\n"
+                      "y = restrict(a, b)\n"
+                      "z = restricted(a)\n")
+    assert restrict_calls(sample) == [
+        "sample.py:8: restrict(...) in HypersurfaceEmbedding.other",
+        "sample.py:10: restrict(...) in gauss",
+        "sample.py:13: restrict(...) in gauss.inner",
+        "sample.py:14: restrict(...) in <module>"]
 
 
 def coo_builds(path: Path) -> list:

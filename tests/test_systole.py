@@ -502,23 +502,28 @@ class TestSystole:
         with pytest.raises(ValueError, match="not a graph edge"):
             cycle_length(graph, (0, 5, 0))
 
-    def test_rejects_edges_out_of_build_order(self):
-        # the straight-loop bound reads the unit xi steps as one block;
-        # with the (0, 1) block first it would read the cheap fiber
-        # steps, and the search limit would drop below zero
+    def test_edge_order_changes_neither_sigma_nor_cycle(self):
+        # the straight-loop bound finds the unit xi steps by their heads;
+        # read as one block in build order, the (0, 1) block first would
+        # give the cheap fiber steps and a search limit below zero
         grid, _ = flat_torus(16, (1.0, 1.0))
-        graph = build_winding_graph(
+        flat = build_winding_graph(
             grid, constant_metric(grid, np.diag([1.0, 0.04])), xi_axis=0,
             connectivity=4)
-        assert systole_sigma(graph)[0] == 1.0
-        n = graph.node_count
-        swap = np.r_[n:2 * n, 0:n]
-        permuted = dataclasses.replace(
-            graph, tail=graph.tail[swap], head=graph.head[swap],
-            length=graph.length[swap], winding=graph.winding[swap])
-        with pytest.raises(ValueError, match=r"edge 0 is not the unit xi "
-                           r"step out of node \(0, 0\)"):
-            systole_sigma(permuted)
+        n = flat.node_count
+        cases = [(flat, np.r_[n:2 * n, 0:n])]
+        rng = np.random.default_rng(7)
+        for axis in (0, 1):
+            graph = aniso_graph(32, 16, axis)
+            cases.append((graph, rng.permutation(graph.tail.size)))
+        assert systole_sigma(flat)[0] == 1.0
+        for graph, order in cases:
+            permuted = dataclasses.replace(
+                graph, tail=graph.tail[order], head=graph.head[order],
+                length=graph.length[order], winding=graph.winding[order])
+            assert (systole._straight_loop_bound(permuted)
+                    == systole._straight_loop_bound(graph))
+            assert systole_sigma(permuted) == systole_sigma(graph)
 
     # amplitude 1e-11 ties every row's loop within the rerun slack, with
     # the shortest one away from row 0; on the product torus every
