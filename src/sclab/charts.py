@@ -476,29 +476,39 @@ def read_snapshot(path) -> tuple[ChartGrid, dict]:
                              f"{expected}")
         return line
 
-    def record(key: str) -> str:
+    def record(key: str, parse=str):
         line = next_line(f"the {key!r} record")
         if not line.startswith(key + " "):
             raise ValueError(f"{path}: snapshot: expected {key!r} record, "
                              f"got {line!r}")
-        return line[len(key) + 1:]
+        try:
+            return parse(line[len(key) + 1:])
+        except ValueError as exc:
+            raise ValueError(f"{path}: snapshot: {key!r} record: "
+                             f"{exc}") from None
+
+    def entries(cast):
+        return lambda text: tuple(cast(x) for x in text.split())
+
+    def field_head(text):
+        name, rank = text.split()
+        return name, int(rank)
 
     if next_line("the magic line") != _SNAP_MAGIC:
         raise ValueError(f"{path}: not a chart snapshot")
-    dim = int(record("dim"))
-    resolution = tuple(int(x) for x in record("resolution").split())
-    extent = tuple(float(x) for x in record("extent").split())
-    topology = tuple(record("topology").split())
-    origin = tuple(float(x) for x in record("origin").split())
+    dim = record("dim", int)
+    resolution = record("resolution", entries(int))
+    extent = record("extent", entries(float))
+    topology = record("topology", entries(str))
+    origin = record("origin", entries(float))
     try:
         grid = make_chart(dim, resolution, extent, topology, origin=origin)
     except ValueError as exc:
         raise ValueError(f"{path}: snapshot: {exc}") from None
-    nfields = int(record("fields"))
+    nfields = record("fields", int)
     fields = {}
     for _ in range(nfields):
-        head = record("field").split()
-        name, rank = head[0], int(head[1])
+        name, rank = record("field", field_head)
         count = grid.node_count * grid.dim ** rank
         vals = []
         while len(vals) < count:

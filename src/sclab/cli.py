@@ -33,7 +33,7 @@ from .hypersurface import embed_graph
 from .models import (TWO_PI, conformal_torus, flat_torus, sphere_band,
                      torus_surface)
 from .spectral import assemble_jacobi, principal_eigenpair
-from .systole import (DiskCylinder, FlatTorus, SphereCylinder,
+from .systole import (DiskCylinder, SphereCylinder,
                       build_winding_graph, certificate_line,
                       equality_certificate, quantization_bound, systole_sigma)
 
@@ -94,9 +94,6 @@ _NONNEGATIVE = _ruled(_int, lambda n: n >= 0, "must be nonnegative")
 _CONNECTIVITY = _ruled(_int, lambda n: n in (4, 8, 16), "must be 4, 8 or 16")
 _RES_ORDER = _ruled(_res_list, lambda res: len(set(res)) == len(res) >= 2,
                     "needs at least two distinct resolutions for an order")
-_LENGTHS = _ruled(lambda text: tuple(map(_float, text.split(","))),
-                  lambda ls: len(ls) <= 3 and all(l > 0.0 for l in ls),
-                  "takes 1 to 3 positive entries")
 _ANISO_AMPLITUDE = _ruled(_float, lambda a: -1.0 < a < 1.0,
                           "must lie in (-1, 1) to keep the metric "
                           "positive definite")
@@ -393,9 +390,8 @@ def _run_systole(config) -> int:
 
 # Certify geometry -> its model, built from the job's values.
 _MODELS = {
-    "disk-cylinder": lambda v: DiskCylinder(v["r"], (v["fiber"],)),
-    "sphere-cylinder": lambda v: SphereCylinder(v["r"], (v["fiber"],)),
-    "flat-torus": lambda v: FlatTorus(v["lengths"]),
+    "disk-cylinder": lambda v: DiskCylinder(v["r"], v["fiber"]),
+    "sphere-cylinder": lambda v: SphereCylinder(v["r"], v["fiber"]),
 }
 
 
@@ -432,7 +428,6 @@ _CYLINDER = {"r": (_POSITIVE, 1.0), "fiber": (_POSITIVE, 10.0)}
 _SYSTOLE = {"res": (_res, 128), "connectivity": (_CONNECTIVITY, 16),
             "output": (str, "systole.csv")}
 _CERTIFY = {"res": (_res, 128), "output": (str, "certificates.txt")}
-_LENGTHS_KEY = {"lengths": (_LENGTHS, (TWO_PI, TWO_PI))}
 
 _JOBS = {
     "curvature": (_run_curvature, {
@@ -461,8 +456,7 @@ _JOBS = {
         "disk-cylinder": {**_CERTIFY, **_CYLINDER,
                           "connectivity": (_CONNECTIVITY, 16)},
         "sphere-cylinder": {**_CERTIFY, **_CYLINDER},
-        "flat-torus": {**_CERTIFY, **_LENGTHS_KEY},
-        "all": {**_CERTIFY, **_CYLINDER, **_LENGTHS_KEY,
+        "all": {**_CERTIFY, **_CYLINDER,
                 "connectivity": (_CONNECTIVITY, 16)}}),
 }
 

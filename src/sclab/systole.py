@@ -11,8 +11,8 @@ off by at most the direction-quantization factor of the stencil, which
 plus bound, never as the infimum itself.
 
 Equality certificates evaluate both sides of the sharp comparisons that
-pin down the model geometries (disk cylinders, sphere cylinders, flat
-tori) and report the relative gap in a machine-parseable line.
+pin down the model geometries (disk cylinders and sphere cylinders)
+and report the relative gap in a machine-parseable line.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ from scipy.sparse.csgraph import dijkstra
 
 from .charts import (PERIODIC, ChartGrid, ScalarField, TensorField,
                      integrate, inverse_and_determinant, node_tuple)
-from .curvature import stabilized_scalar
-from .models import (TWO_PI, flat_torus, sphere_band, sphere_full,
-                     torus_surface)
+from .curvature import curvature_bundle
+from .models import TWO_PI, sphere_band, sphere_full, torus_surface
 
 # Offsets generate undirected edges once each; negations are implicit.
 # 16-neighbor adds the knight moves, halving the worst direction gap.
@@ -87,6 +86,9 @@ def _midpoint_metric(grid, metric, tail_idx, head_idx, mid_coords):
         return g_mid
     if not (isinstance(metric, TensorField) and metric.rank == 2):
         raise TypeError("metric must be a rank-2 TensorField or a callable")
+    if metric.grid != grid:
+        raise ValueError(f"metric is sampled on a {metric.grid.shape} grid, "
+                         f"not on the graph's {grid.shape} chart")
     flat = metric.values.reshape(-1, 2, 2)
     return 0.5 * (flat[tail_idx] + flat[head_idx])
 
@@ -506,27 +508,20 @@ def systole_sigma(graph: WindingGraph) -> tuple[float, tuple[int, ...]]:
 # --- equality certificates -------------------------------------------------
 
 PASS_TOL = 1e-2          # relative gap admitted as equality
-ZERO_TOL = 1e-12         # absolute gap when the sharp constant is zero
 
 
 @dataclass(frozen=True)
 class DiskCylinder:
-    """Flat disk of given radius times flat torus fibers."""
+    """Flat disk of given radius times a flat circle fiber."""
     radius: float
-    fiber_lengths: tuple
+    fiber: float
 
 
 @dataclass(frozen=True)
 class SphereCylinder:
-    """Round 2-sphere of given radius times flat torus fibers."""
+    """Round 2-sphere of given radius times a flat circle fiber."""
     radius: float
-    fiber_lengths: tuple
-
-
-@dataclass(frozen=True)
-class FlatTorus:
-    """Flat torus with the given side lengths."""
-    lengths: tuple
+    fiber: float
 
 
 @dataclass(frozen=True)
@@ -541,9 +536,8 @@ class EqualityCertificate:
 
 
 def _finish(model, lhs: float, rhs: float, note: str) -> EqualityCertificate:
-    gap = abs(lhs - rhs) / abs(rhs) if rhs != 0.0 else abs(lhs)
-    tol = PASS_TOL if rhs != 0.0 else ZERO_TOL
-    verdict = "pass" if gap <= tol else "fail"
+    gap = abs(lhs - rhs) / abs(rhs)
+    verdict = "pass" if gap <= PASS_TOL else "fail"
     return EqualityCertificate(model, lhs, rhs, gap, verdict, note)
 
 
@@ -554,19 +548,13 @@ def equality_certificate(model, resolution: int = 128,
     DiskCylinder: boundary mean curvature times the measured boundary
     systole, (1/r) * sigma, against 2 pi.  SphereCylinder: measured
     inf S times the measured area of the round factor against 8 pi.
-    FlatTorus: inf S of the flat metric with constant potential
-    against 0.
     """
     if isinstance(model, DiskCylinder):
-        if len(model.fiber_lengths) != 1:
-            raise ValueError("disk-cylinder certificates run on a 2-d "
-                             "boundary lattice: pass exactly one fiber "
-                             "length")
         if not model.radius > 0.0:
             raise ValueError("radius must be positive")
         grid, metric = torus_surface(resolution, resolution,
                                      radius=model.radius,
-                                     fiber_len=model.fiber_lengths[0])
+                                     fiber_len=model.fiber)
         graph = build_winding_graph(grid, metric, xi_axis=0,
                                     connectivity=connectivity)
         sigma, _ = systole_sigma(graph)
@@ -579,9 +567,9 @@ def equality_certificate(model, resolution: int = 128,
         if not model.radius > 0.0:
             raise ValueError("radius must be positive")
         lat = max(33, min(resolution, 129) | 1)
-        grid, metric = sphere_band(lat, 16, radius=model.radius)
-        phi = ScalarField(grid, np.zeros(grid.shape))
-        inf_s = float(stabilized_scalar(metric, phi).values.min())
+        # phi = 0, so S is the scalar curvature R
+        _, metric = sphere_band(lat, 16, radius=model.radius)
+        inf_s = float(curvature_bundle(metric).scalar.values.min())
         grid, metric = sphere_full(lat, 32, radius=model.radius)
         volume = np.sqrt(inverse_and_determinant(metric.values)[1])
         area = integrate(ScalarField(grid, np.ones(grid.shape)),
@@ -590,30 +578,14 @@ def equality_certificate(model, resolution: int = 128,
                        "inf S on a latitude band times the quadrature area "
                        "of the round factor; both sides measured")
 
-    if isinstance(model, FlatTorus):
-        if not all(l > 0.0 for l in model.lengths):
-            raise ValueError("side lengths must be positive")
-        grid, metric = flat_torus(min(resolution, 16), model.lengths)
-        phi = ScalarField(grid, np.zeros(grid.shape))
-        s = stabilized_scalar(metric, phi)
-        lhs = float(s.values.min())
-        return _finish(model, lhs, 0.0,
-                       "constant potential; flat stencils are exact")
-
     raise TypeError(f"unknown equality model {type(model).__name__}")
-
-
-def _params(model) -> str:
-    if isinstance(model, (DiskCylinder, SphereCylinder)):
-        fibers = ",".join(f"{l:g}" for l in model.fiber_lengths)
-        return f"radius={model.radius:g} fibers={fibers}"
-    return "lengths=" + ",".join(f"{l:g}" for l in model.lengths)
 
 
 def certificate_line(cert: EqualityCertificate) -> str:
     """One machine-parseable line: shlex-splittable key=value fields."""
-    return (f"model={type(cert.model).__name__} {_params(cert.model)} "
+    model = cert.model
+    return (f"model={type(model).__name__} radius={model.radius:g} "
+            f"fibers={model.fiber:g} "
             f"lhs={cert.lhs:.17g} rhs={cert.rhs:.17g} "
             f"relative_gap={cert.relative_gap:.3e} "
             f"verdict={cert.verdict} note=\"{cert.note}\"")
-

@@ -524,6 +524,30 @@ class TestSnapshot:
                                              rf"{expected}"):
             read_snapshot(path)
 
+    @pytest.mark.parametrize("line,bad", [
+        ("field metric 2", "field metric"),
+        ("field metric 2", "field metric two"),
+        ("dim 2", "dim 2.0"),
+        ("fields 1", "fields one"),
+        ("resolution 8 12", "resolution 8 12.5"),
+        ("extent 1 ", "extent one "),
+        ("origin 0 ", "origin zero "),
+    ], ids=["rank-missing", "rank", "dim", "fields", "resolution",
+            "extent", "origin"])
+    def test_malformed_header_names_path_and_record(self, tmp_path, line,
+                                                    bad):
+        grid = make_chart(2, (8, 12), (1.0, TWO_PI), PERIODIC)
+        g = TensorField(grid, 2, np.ones(grid.shape + (2, 2)))
+        path = tmp_path / "state.snap"
+        write_snapshot(path, grid, {"metric": g})
+        text = path.read_text()
+        assert text.count("\n" + line) == 1
+        path.write_text(text.replace("\n" + line, "\n" + bad))
+        key = bad.split()[0]
+        with pytest.raises(ValueError, match=rf"state\.snap: snapshot: "
+                                             rf"'{key}' record: "):
+            read_snapshot(path)
+
     @pytest.mark.parametrize("record,short", [
         ("extent", "extent 1"), ("topology", "topology periodic")])
     def test_short_axis_record_names_it(self, tmp_path, record, short):

@@ -36,9 +36,7 @@ from sclab.flow import (SphereProfile, flow_states, make_flow_state,
 from sclab.hypersurface import embed_graph
 from sclab.models import TWO_PI, conformal_torus, sphere_band, torus_surface
 from sclab.spectral import assemble_jacobi, principal_eigenpair
-from sclab.systole import (DiskCylinder, FlatTorus, SphereCylinder,
-                           build_winding_graph, certificate_line,
-                           equality_certificate, systole_sigma)
+from sclab.systole import build_winding_graph, systole_sigma
 
 
 @pytest.fixture
@@ -165,9 +163,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError,
                            match="^a: seed must be nonnegative"):
             build_config("curvature", "random-torus", [("seed", "-1", "a")])
-        with pytest.raises(ConfigError, match="^a: lengths takes 1 to 3"):
-            build_config("certify", "flat-torus",
-                         [("lengths", "1,2,3,4", "a")])
         with pytest.raises(ConfigError, match="^a: amplitude must lie"):
             build_config("systole", "anisotropic-torus",
                          [("amplitude", "1.5", "a")])
@@ -186,9 +181,7 @@ UNREAD_KEYS = [
     ("certify", "disk-cylinder", "lengths=1,2"),
     ("certify", "sphere-cylinder", "connectivity=8"),
     ("certify", "sphere-cylinder", "lengths=1,2"),
-    ("certify", "flat-torus", "r=2"),
-    ("certify", "flat-torus", "fiber=3"),
-    ("certify", "flat-torus", "connectivity=8"),
+    ("certify", "all", "lengths=1,2"),
 ]
 
 
@@ -568,9 +561,9 @@ class TestCertifyCommand:
         # res >= 64 so the sphere-band inf S lands inside the 1% gate
         assert main(["certify", "all", "res=64", "connectivity=8"]) == 0
         out = capsys.readouterr().out
-        assert out.count("verdict=pass") == 3
+        assert out.count("verdict=pass") == 2
         lines = (out_dir / "certificates.txt").read_text().splitlines()
-        assert len(lines) == 3
+        assert len(lines) == 2
         fields = dict(part.split("=", 1) for part in shlex.split(lines[0]))
         assert fields["verdict"] == "pass"
         assert float(fields["rhs"]) == pytest.approx(TWO_PI, rel=1e-15)
@@ -586,18 +579,30 @@ class TestCertifyCommand:
         assert main(["certify", "all", "res=16", "connectivity=4"]) == 2
         raw = (out_dir / "certificates.txt").read_bytes()
         assert b"\r" not in raw
-        models = (DiskCylinder(1.0, (10.0,)), SphereCylinder(1.0, (10.0,)),
-                  FlatTorus((TWO_PI, TWO_PI)))
-        assert raw.decode() == "".join(
-            certificate_line(equality_certificate(m, resolution=16,
-                                                  connectivity=4)) + "\n"
-            for m in models)
+        assert raw.decode() == (
+            'model=DiskCylinder radius=1 fibers=10 lhs=6.283185307179588 '
+            'rhs=6.2831853071795862 relative_gap=2.827e-16 verdict=pass '
+            'note="sigma is a lattice upper bound; direction quantization '
+            '<= 41.42%"\n'
+            'model=SphereCylinder radius=1 fibers=10 '
+            'lhs=24.505177362282119 rhs=25.132741228718345 '
+            'relative_gap=2.497e-02 verdict=fail note="inf S on a latitude '
+            'band times the quadrature area of the round factor; both '
+            'sides measured"\n')
 
     def test_single_model_selection(self, out_dir):
-        assert main(["certify", "flat-torus", "res=16"]) == 0
+        assert main(["certify", "disk-cylinder", "res=16",
+                     "connectivity=4"]) == 0
         lines = (out_dir / "certificates.txt").read_text().splitlines()
         assert len(lines) == 1
-        assert "FlatTorus" in lines[0]
+        assert "DiskCylinder" in lines[0]
+
+    def test_flat_torus_is_not_a_certify_geometry(self, out_dir, capsys):
+        assert main(["certify", "flat-torus", "res=16"]) == 1
+        assert ("unknown geometry 'flat-torus' for certify; choose from "
+                "disk-cylinder, sphere-cylinder, all"
+                in capsys.readouterr().err)
+        assert os.listdir(out_dir) == []
 
 
 class TestConfigFileForm:

@@ -11,7 +11,8 @@ restricted and differentiated again), systole writes its cover graph
 straight into CSR arrays and searches it from one place, and no
 integral inverts a metric: `integrate`, `f_functional`, `weighted_area` and
 `weighted_area_variation` read the volume density its metric's owner
-kept from the one inversion it made.
+kept from the one inversion it made.  Every name a module imports is
+read in that module.
 
 Every file under src/sclab is parsed with ast; a relative import of a
 name with a leading underscore, a call of `diff_array`,
@@ -29,7 +30,9 @@ build in systole.py, is reported with its file and line.  systole.py
 must hold exactly one `dijkstra` call site and one `csr_matrix(...)`
 call: one cover, on reduced costs, searched by one blocked routine in
 both passes.  A call of `inverse_and_determinant` inside the body of
-one of the integrals is reported the same way.
+one of the integrals is reported the same way, and so is an import
+whose bound name (its alias, or the first part of a dotted module) is
+never read as a name in its file.
 """
 
 import ast
@@ -476,3 +479,47 @@ def test_integral_detector_names_file_and_line(tmp_path):
         {"integrate", "weighted_area"},
         ["sample.py:2: integrate inverts (...)",
          "sample.py:5: weighted_area inverts (...)"])
+
+
+def unused_imports(path: Path) -> list:
+    """`file:line: name` for each name an import binds (its `as` alias,
+    or the first part of a dotted `import a.b`) that the file never
+    reads; `from __future__` imports bind no name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read:
+                    found.append((alias.lineno, bound))
+    return [f"{path.name}:{line}: {name}" for line, name in sorted(found)]
+
+
+def test_every_import_is_read():
+    # a name left imported after its last use (a deleted model class,
+    # a helper moved away) is dead code the reader still has to trace
+    paths = sorted(SOURCE.glob("*.py"))
+    assert SOURCE / "systole.py" in paths
+    found = [line for path in paths for line in unused_imports(path)]
+    assert not found, "imported but never read:\n" + "\n".join(found)
+
+
+def test_unused_import_detector_names_file_and_line(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("from __future__ import annotations\n"
+                      "import numpy as np\nimport scipy.sparse\n"
+                      "import os.path\n"
+                      "from .models import (TWO_PI, flat_torus,\n"
+                      "                     sphere_band)\n"
+                      "from .systole import FlatTorus as Flat\n"
+                      "x = np.pi * TWO_PI + scipy.sparse.eye(2)\n"
+                      "def f(g: Flat) -> None:\n"
+                      "    flat_torus = 1\n"
+                      "    return sphere_band\n")
+    assert unused_imports(sample) == [
+        "sample.py:4: os", "sample.py:5: flat_torus"]

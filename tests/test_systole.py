@@ -27,11 +27,8 @@ from sclab import systole
 from sclab.charts import TensorField, make_chart
 from sclab.models import TWO_PI, flat_torus, torus_surface
 from sclab.systole import (
-    CONNECTIVITY_OFFSETS,
     PASS_TOL,
     DiskCylinder,
-    EqualityCertificate,
-    FlatTorus,
     SphereCylinder,
     build_winding_graph,
     certificate_line,
@@ -59,17 +56,12 @@ def aniso_metric(x1, x2):
 
 def cert_disk():
     return cached("cert-disk", lambda: equality_certificate(
-        DiskCylinder(1.0, (10.0,))))
+        DiskCylinder(1.0, 10.0)))
 
 
 def cert_sphere():
     return cached("cert-sphere", lambda: equality_certificate(
-        SphereCylinder(2.0, (10.0,))))
-
-
-def cert_flat():
-    return cached("cert-flat", lambda: equality_certificate(
-        FlatTorus((TWO_PI, TWO_PI))))
+        SphereCylinder(2.0, 10.0)))
 
 
 def aniso_graph(res, conn, axis=0):
@@ -372,6 +364,15 @@ class TestWindingGraph:
         bad = constant_metric(grid, [[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(ValueError, match="positive definite"):
             build_winding_graph(grid, bad, connectivity=8)
+
+    def test_rejects_metric_sampled_on_another_grid(self):
+        # the metric's node ids would index only its first 256 of 1,024
+        grid, _ = flat_torus(16, (1.0, 1.0))
+        _, finer = flat_torus(32, (1.0, 1.0))
+        with pytest.raises(ValueError, match=r"sampled on a \(32, 32\) "
+                                             r"grid, not on the graph's "
+                                             r"\(16, 16\) chart"):
+            build_winding_graph(grid, finer, connectivity=8)
 
     # the 8 x 8 torus has 64 edges per stencil offset, and the first
     # offset's midpoints sit at ((i + 1/2) h, j h) with h = 1/8
@@ -839,33 +840,26 @@ class TestCertificates:
     def test_sphere_cylinder_gap_carries_the_fail(self):
         # a 33-latitude band misplaces inf S by more than PASS_TOL; the
         # fail must show in the printed gap, not only in the verdict
-        cert = equality_certificate(SphereCylinder(1.0, (10.0,)),
+        cert = equality_certificate(SphereCylinder(1.0, 10.0),
                                     resolution=33)
         assert cert.verdict == "fail"
         assert cert.relative_gap > PASS_TOL
         assert cert.relative_gap == pytest.approx(
             abs(cert.lhs - 8.0 * math.pi) / (8.0 * math.pi), rel=1e-12)
 
-    def test_flat_torus_certificate(self):
-        cert = cert_flat()
-        assert cert.rhs == 0.0
-        assert cert.lhs == 0.0
-        assert cert.relative_gap <= 1e-12
-        assert cert.verdict == "pass"
-
     def test_rhs_values_are_the_model_constants(self):
-        certs = [cert_disk(), cert_sphere(), cert_flat()]
-        assert {c.rhs for c in certs} == {TWO_PI, 8.0 * math.pi, 0.0}
+        certs = [cert_disk(), cert_sphere()]
+        assert {c.rhs for c in certs} == {TWO_PI, 8.0 * math.pi}
 
     def test_disk_cylinder_lhs_is_scale_invariant(self):
-        small = equality_certificate(DiskCylinder(1.0, (10.0,)),
+        small = equality_certificate(DiskCylinder(1.0, 10.0),
                                      resolution=64, connectivity=8)
-        large = equality_certificate(DiskCylinder(2.0, (20.0,)),
+        large = equality_certificate(DiskCylinder(2.0, 20.0),
                                      resolution=64, connectivity=8)
         assert small.lhs == large.lhs
 
     def test_certificate_lines_are_machine_parseable(self):
-        for cert in (cert_disk(), cert_sphere(), cert_flat()):
+        for cert in (cert_disk(), cert_sphere()):
             line = certificate_line(cert)
             parts = shlex.split(line)
             fields = dict(p.split("=", 1) for p in parts)
@@ -874,19 +868,11 @@ class TestCertificates:
             assert float(fields["rhs"]) == cert.rhs
             assert fields["verdict"] == cert.verdict
 
-    def test_rejects_multi_fiber_disk_cylinder(self):
-        with pytest.raises(ValueError, match="one fiber"):
-            equality_certificate(DiskCylinder(1.0, (10.0, 10.0)))
-
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError, match="radius"):
-            equality_certificate(DiskCylinder(-1.0, (10.0,)))
+            equality_certificate(DiskCylinder(-1.0, 10.0))
         with pytest.raises(ValueError, match="radius"):
-            equality_certificate(SphereCylinder(0.0, (10.0,)))
-
-    def test_rejects_nonpositive_side_lengths(self):
-        with pytest.raises(ValueError, match="positive"):
-            equality_certificate(FlatTorus((1.0, -2.0)))
+            equality_certificate(SphereCylinder(0.0, 10.0))
 
     def test_rejects_unknown_model(self):
         with pytest.raises(TypeError, match="unknown equality model"):
